@@ -71,11 +71,10 @@ from .personalization import (
     PersEstimate,
     SamplingPlan,
     TripleReport,
-    estimate_pers,
     sample_triples,
     wilson_interval,
 )
-from .reports import AnalysisReport, analyze, write_report
+from .reports import AnalysisReport, analyze, estimate_pers, write_report
 from .transitions import (
     ConsistencyReport,
     CountTable,

@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .accardi import accardi_check, triple_params
 from .datasets import same_outcome_probability
 from .errors import DataError, SolverFailure
-from .feasibility import build_problem, decide_feasibility
+from .feasibility import decide_feasibility, feasibility_from_dataset
 from .generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 from .hypergraph import enumerate_two_valued_states, find_state, is_connected, validate
 from .io import (
@@ -163,24 +162,16 @@ def _cmd_triple(args, out) -> int:
     ids = tuple(part.strip() for part in args.ids.split(","))
     if len(ids) != 3 or len(set(ids)) != 3:
         raise _UsageError("--ids needs three distinct observable ids")
-    params, matrices = triple_params(dataset, ids, args.smoothing, args.tol_b)
-    verdict = accardi_check(params)
-    problem = build_problem(matrices, dataset.observables.subset(ids), args.tol_lp)
-    lp = decide_feasibility(problem)
+    params, verdict, lp = feasibility_from_dataset(
+        dataset, ids, args.smoothing, args.tol_b, args.tol_lp
+    )
     out.write(f"triple: {','.join(ids)}\n")
-    out.write(
-        f"p={_sig(params.p)} q={_sig(params.q)} r={_sig(params.r)}\n"
-    )
-    out.write(
-        "deviations: "
-        + " ".join(_sig(d) for d in params.deviations)
-        + f"\napplicable: {'yes' if params.applicable else 'no'}\n"
-    )
+    out.write(f"p={_sig(params.p)} q={_sig(params.q)} r={_sig(params.r)}\n")
+    out.write(f"deviations: {' '.join(_sig(d) for d in params.deviations)}\n")
+    out.write(f"applicable: {'yes' if params.applicable else 'no'}\n")
     out.write(f"accardi: {verdict.verdict} (slack {_sig(verdict.slack)})\n")
-    out.write(
-        f"lp: {'feasible' if lp.feasible else 'infeasible'}"
-        f" (max violation {_sig(lp.max_violation)})\n"
-    )
+    feasible = "feasible" if lp.feasible else "infeasible"
+    out.write(f"lp: {feasible} (max violation {_sig(lp.max_violation)})\n")
     return EXIT_OK
 
 

@@ -9,8 +9,12 @@ sources cannot supply one joint record per trial:
 * ``PairLogDataset``: each entry reports outcomes for one pair of
   observables only; no global record ever exists.
 
-The exact models (``ExactJointTable``, ``ExactQuantumModel``) expose
-``pair_joint`` so pipelines can bypass sampling noise entirely.
+The exact models (``ExactJointTable``, ``ExactQuantumModel``) let
+pipelines bypass sampling noise entirely.
+
+Every source reduces to one ``PairStatistics`` array, built once on
+first use: pair counts for the empirical formats, pair probabilities for
+the exact models.  Nothing downstream reads the raw rows again.
 
 Product outcomes are indexed with observable 0 as the most significant
 digit: outcome index = sum over t of value_t * n**(T-1-t).  This
@@ -19,20 +23,17 @@ convention is shared with the feasibility witness vectors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .observables import ObservableSet
 
 
-def product_outcome_index(values, num_outcomes: int = 2) -> int:
-    """Index of one product-space outcome under the canonical ordering."""
-    idx = 0
-    for v in values:
-        idx = idx * num_outcomes + int(v)
-    return idx
+_RECORD_CHUNK = 8192  # rows per block of the joint-record Gram product
 
 
 def frozen_array(values, dtype) -> np.ndarray:
@@ -42,6 +43,25 @@ def frozen_array(values, dtype) -> np.ndarray:
         array = array.copy()
     array.flags.writeable = False
     return array
+
+
+@dataclass(frozen=True, eq=False)
+class PairStatistics:
+    """Everything a source says about pairs, as one T x T x 2 x 2 array.
+
+    ``table[a, b, i, j]`` is the number of trials (or, when ``exact``, the
+    probability) with observable a = i and observable b = j; ``table[b, a]``
+    is ``table[a, b]`` transposed, and the diagonal a = b is unused.  A pair
+    with no data has an all-zero table and is described by ``missing``.
+    """
+
+    table: np.ndarray
+    exact: bool = False
+    missing: str = "no data for pair"
+
+    def __post_init__(self):
+        dtype = np.float64 if self.exact else np.int64
+        object.__setattr__(self, "table", frozen_array(self.table, dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +83,20 @@ class JointRecordDataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def pair_statistics(self) -> PairStatistics:
+        """Pair counts from the Gram matrix X^T X, summed over row blocks
+        (float64 is exact for block counts; no full-size copy is made)."""
+        n, t = self.records.shape
+        gram = np.zeros((t, t), dtype=np.int64)
+        for start in range(0, n, _RECORD_CHUNK):
+            block = self.records[start:start + _RECORD_CHUNK].astype(np.float64)
+            gram += (block.T @ block).astype(np.int64)
+        ones = np.diag(gram)
+        n10, n01 = ones[:, None] - gram, ones[None, :] - gram
+        table = np.stack([n - n10 - ones[None, :], n01, n10, gram], axis=-1)
+        return PairStatistics(table.reshape(t, t, 2, 2), missing="no records for pair")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +162,15 @@ class PairLogDataset:
         ):
             yield ids[fi], int(fv), ids[si], int(sv)
 
+    @cached_property
+    def pair_statistics(self) -> PairStatistics:
+        """Pair counts in one ``bincount`` pass; entries logged in (b, a)
+        orientation are added to (a, b) transposed."""
+        t = len(self.observables)
+        keys = ((self.first_index * t + self.second_index) * 2 + self.first_value) * 2
+        logged = np.bincount(keys + self.second_value, minlength=4 * t * t).reshape(t, t, 2, 2)
+        return PairStatistics(logged + logged.transpose(1, 0, 3, 2), missing="no logged pairs for")
+
 
 @dataclass(frozen=True, eq=False)
 class ExactJointTable:
@@ -148,16 +191,16 @@ class ExactJointTable:
             raise ValueError("probabilities must sum to 1")
         object.__setattr__(self, "probabilities", probs)
 
-    def pair_joint(self, a: str, b: str) -> np.ndarray:
-        """Exact 2x2 table of P(A=i and B=j)."""
+    @cached_property
+    def pair_statistics(self) -> PairStatistics:
+        """Exact pair probabilities, one marginal sum per unordered pair."""
         t = len(self.observables)
-        ia, ib = self.observables.index_of(a), self.observables.index_of(b)
-        if ia == ib:
-            raise ValueError("pair must name two distinct observables")
         cube = self.probabilities.reshape((2,) * t)
-        keep = sorted((ia, ib))
-        summed = cube.sum(axis=tuple(ax for ax in range(t) if ax not in keep))
-        return summed if keep == [ia, ib] else summed.T
+        table = np.zeros((t, t, 2, 2))
+        for a, b in itertools.combinations(range(t), 2):
+            table[a, b] = cube.sum(axis=tuple(ax for ax in range(t) if ax not in (a, b)))
+            table[b, a] = table[a, b].T
+        return PairStatistics(table, exact=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +220,15 @@ class ExactQuantumModel:
         if len(self.angles_deg) != len(self.observables):
             raise ValueError("one angle per observable required")
 
-    def transition_param(self, a: str, b: str) -> float:
-        ia, ib = self.observables.index_of(a), self.observables.index_of(b)
-        return same_outcome_probability(self.angles_deg[ia], self.angles_deg[ib])
-
-    def pair_joint(self, a: str, b: str) -> np.ndarray:
-        p = self.transition_param(a, b)
-        return np.array([[p / 2.0, (1.0 - p) / 2.0], [(1.0 - p) / 2.0, p / 2.0]])
+    @cached_property
+    def pair_statistics(self) -> PairStatistics:
+        """Exact pair probabilities from the Born rule."""
+        t = len(self.angles_deg)
+        table = np.zeros((t, t, 2, 2))
+        for a, b in itertools.permutations(range(t), 2):
+            p = same_outcome_probability(self.angles_deg[a], self.angles_deg[b])
+            table[a, b] = [[p / 2.0, (1.0 - p) / 2.0], [(1.0 - p) / 2.0, p / 2.0]]
+        return PairStatistics(table, exact=True)
 
 
 def same_outcome_probability(angle_a_deg: float, angle_b_deg: float) -> float:

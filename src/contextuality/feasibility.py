@@ -32,6 +32,8 @@ from .transitions import DEFAULT_BISTOCHASTIC_TOL, TransitionMatrix
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 MAX_PRODUCT_OUTCOMES = 10**6
+_HIGHS_DEFAULT_PRIMAL_TOL = 1e-7  # HiGHS's primal feasibility tolerance
+_HIGHS_MIN_PRIMAL_TOL = 1e-10  # the smallest value HiGHS accepts
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,13 @@ class FeasibilityResult:
 
 def linear_feasibility(
     soft_rows: np.ndarray, soft_rhs: np.ndarray, eq_rows: np.ndarray | None = None,
-    eq_rhs: np.ndarray | None = None,
+    eq_rhs: np.ndarray | None = None, primal_tol: float = _HIGHS_DEFAULT_PRIMAL_TOL,
 ) -> tuple[float, np.ndarray]:
     """Minimize the largest deviation of soft equality constraints.
 
     Solves min t over x >= 0, t >= 0 with |soft_rows @ x - soft_rhs| <= t
-    and eq_rows @ x = eq_rhs held exactly.  Returns (optimal t, x).
+    and eq_rows @ x = eq_rhs held exactly.  Returns (optimal t, x); the
+    solver may violate any constraint of x by up to ``primal_tol``.
 
     Raises:
         SolverFailure: numerical breakdown; this program is feasible and
@@ -126,23 +129,12 @@ def linear_feasibility(
     cost[-1] = 1.0
     result = linprog(
         cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=(0, None), method="highs", options={"presolve": False},
+        bounds=(0, None), method="highs",
+        options={"presolve": False, "primal_feasibility_tolerance": primal_tol},
     )
     if result.status != 0:
         raise SolverFailure(f"linear feasibility solve failed: {result.message}")
     return max(float(result.fun), 0.0), result.x[:num_vars]
-
-
-def _outcome_digits(num_observables: int, num_outcomes: int) -> np.ndarray:
-    """digits[t][k] = value of observable t in product outcome k."""
-    size = num_outcomes**num_observables
-    ks = np.arange(size)
-    return np.stack(
-        [
-            (ks // num_outcomes ** (num_observables - 1 - t)) % num_outcomes
-            for t in range(num_observables)
-        ]
-    )
 
 
 def pair_marginal(
@@ -172,38 +164,36 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
         witness = np.full(size, 1.0 / size)
         return FeasibilityResult(feasible=True, witness=witness, max_violation=0.0)
 
-    digits = _outcome_digits(t, n)
-    row_columns, rhs = [], []
-    for (a, b) in sorted(problem.pair_marginals):
-        table = problem.pair_marginals[(a, b)]
-        for i in range(n):
-            for j in range(n):
-                row_columns.append(np.flatnonzero((digits[a] == i) & (digits[b] == j)))
-                rhs.append(table[i, j])
-    num_rows = len(row_columns)
+    # Row (a, b, i, j) selects the product outcomes with A_a = i and A_b = j.
+    flat = np.arange(size).reshape((n,) * t)
+    keys = sorted(problem.pair_marginals)
+    columns = np.concatenate([np.moveaxis(flat, key, (0, 1)).reshape(n * n, -1) for key in keys])
+    soft_rhs = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
+    num_rows, per_row = columns.shape
     if num_rows * size > 5_000_000:
-        indptr = np.cumsum([0] + [len(c) for c in row_columns])
-        indices = np.concatenate(row_columns)
+        indptr = np.arange(num_rows + 1) * per_row
         soft_rows = sparse.csr_matrix(
-            (np.ones(len(indices)), indices, indptr), shape=(num_rows, size)
+            (np.ones(columns.size), columns.ravel(), indptr), shape=(num_rows, size)
         )
     else:
         soft_rows = np.zeros((num_rows, size))
-        for k, cols in enumerate(row_columns):
-            soft_rows[k, cols] = 1.0
-    soft_rhs = np.array(rhs)
+        soft_rows[np.arange(num_rows)[:, None], columns] = 1.0
     mass_row = np.ones((1, size))
 
-    violation, x = linear_feasibility(soft_rows, soft_rhs, mass_row, np.array([1.0]))
+    # HiGHS may bend a constraint by its own tolerance; keep that well
+    # inside the re-check below, never looser than the HiGHS default.
+    primal_tol = min(max(problem.tolerance / 10, _HIGHS_MIN_PRIMAL_TOL), _HIGHS_DEFAULT_PRIMAL_TOL)
+    violation, x = linear_feasibility(soft_rows, soft_rhs, mass_row, np.array([1.0]), primal_tol)
     if violation > problem.tolerance:
         return FeasibilityResult(feasible=False, witness=None, max_violation=violation)
 
-    # Independent recheck of the returned witness before certifying.
+    # Independent recheck of the returned witness before certifying: it must
+    # be a probability vector (to 2 x tol) that reproduces every target.
     actual = max(
         float(np.abs(pair_marginal(x, t, n, key) - table).max())
         for key, table in problem.pair_marginals.items()
     )
-    actual = max(actual, abs(float(x.sum()) - 1.0))
+    actual = max(actual, abs(float(x.sum()) - 1.0), -float(x.min()))
     if actual > 2 * problem.tolerance:
         raise SolverFailure(
             f"solver reported residual {violation:g} but witness violates targets by {actual:g}"
@@ -280,13 +270,15 @@ def feasibility_from_dataset(
     smoothing: float = 0.0,
     bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
     tolerance: float = DEFAULT_FEASIBILITY_TOL,
+    transitions: dict | None = None,
 ) -> tuple[TripleParams, AccardiVerdict, FeasibilityResult]:
     """End-to-end pipeline for one triple: estimate, check invariants, solve.
 
     Returns the triple parameters, the closed-form verdict, and the
     feasibility result for the pair-joint targets implied by the data.
+    ``transitions`` is passed on to ``triple_params``.
     """
-    params, matrices = triple_params(source, ids, smoothing, bistochastic_tol)
+    params, matrices = triple_params(source, ids, smoothing, bistochastic_tol, transitions)
     verdict = accardi_check(params)
     triple_set = source.observables.subset(ids)
     problem = build_problem(matrices, triple_set, tolerance)

@@ -101,9 +101,8 @@ def read_pairlog(path) -> PairLogDataset:
             f"pair-log header must be {','.join(PAIRLOG_HEADER)!r}, got {header!r}",
             line=header_line,
         )
-    names: list[str] = []
-    seen: set[str] = set()
-    entries = []
+    index: dict[str, int] = {}  # observable -> position of first appearance
+    columns: tuple[list[int], ...] = ([], [], [], [])
     for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != 4:
@@ -112,17 +111,14 @@ def read_pairlog(path) -> PairLogDataset:
         obs_b = parts[2].strip()
         if not obs_a or not obs_b:
             raise ParseError("empty observable name", line=lineno)
-        val_a = _parse_bit(parts[1], lineno, 2)
-        val_b = _parse_bit(parts[3], lineno, 4)
-        for name in (obs_a, obs_b):
-            if name not in seen:
-                seen.add(name)
-                names.append(name)
-        entries.append((obs_a, val_a, obs_b, val_b))
-    if not names:
+        columns[1].append(_parse_bit(parts[1], lineno, 2))
+        columns[3].append(_parse_bit(parts[3], lineno, 4))
+        columns[0].append(index.setdefault(obs_a, len(index)))
+        columns[2].append(index.setdefault(obs_b, len(index)))
+    if not index:
         raise ParseError("pair-log holds no entries")
-    observables = ObservableSet.from_ids(names, source=str(path))
-    return PairLogDataset.from_entries(observables, entries)
+    observables = ObservableSet.from_ids(index, source=str(path))
+    return PairLogDataset(observables, *(np.array(col, dtype=np.int64) for col in columns))
 
 
 def write_pairlog(dataset: PairLogDataset, path) -> None:

@@ -11,8 +11,10 @@ only applies to bistochastic triples:
   triples (the general test, no hypothesis needed).
 
 All sampling and evaluation is deterministic given the plan seed, and
-independent of the number of worker threads: triples are evaluated as
-pure functions and merged in sampled order.
+independent of the number of worker threads: every ordered pair's
+transition is estimated once before the fan-out, then triples are
+evaluated as pure functions of those estimates and merged in sampled
+order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from .accardi import AccardiVerdict, TripleParams
+from .accardi import AccardiVerdict, TripleParams, triple_transitions
 from .errors import (
     ContextualityError,
     ProblemTooLarge,
@@ -166,9 +168,7 @@ def sample_triples(
             )
         ranks = range(population)
     else:
-        requested = plan.num_triples
-        if requested is None:
-            requested = min(1000, population)
+        requested = resolve_plan(plan, observables).num_triples
         if requested < 0:
             raise ValueError("num_triples must be non-negative")
         rng = random.Random(plan.seed)
@@ -187,40 +187,40 @@ def sample_triples(
     ]
 
 
-def evaluate_triple(source, ids: tuple[str, str, str], plan: SamplingPlan) -> TripleReport:
-    """Run the full pipeline on one triple; failures become skip reports."""
-    try:
-        params, verdict, lp = feasibility_from_dataset(
-            source,
-            ids,
-            smoothing=plan.smoothing,
-            bistochastic_tol=plan.bistochastic_tol,
-            tolerance=plan.feasibility_tol,
-        )
-    except SolverFailure:
-        raise
-    except ContextualityError as exc:
-        return TripleReport(ids=ids, params=None, accardi=None, lp=None, error=str(exc))
-    return TripleReport(ids=ids, params=params, accardi=verdict, lp=lp)
-
-
 def evaluate_triples(
     source,
     triples: list[tuple[str, str, str]],
     plan: SamplingPlan,
     workers: int = 1,
 ) -> list[TripleReport]:
-    """Evaluate triples (possibly concurrently), merged in sampled order.
+    """Run the pipeline on each triple (possibly concurrently), merged in
+    sampled order; a triple whose data fails becomes a skip report.
 
-    Evaluation is a pure function of (source, ids, plan), so repeated
-    triples (with-replacement sampling) are computed once and reused.
+    Each ordered pair the triples need is estimated once, before any
+    worker starts; evaluation is then a pure function of (ids, those
+    estimates, plan), so repeated triples (with-replacement sampling)
+    are computed once and reused.
     """
     unique = list(dict.fromkeys(triples))
+    transitions = triple_transitions(source, unique, plan.smoothing, plan.bistochastic_tol)
+
+    def evaluate(ids) -> TripleReport:
+        try:
+            params, verdict, lp = feasibility_from_dataset(
+                source, ids, plan.smoothing, plan.bistochastic_tol, plan.feasibility_tol,
+                transitions,
+            )
+        except SolverFailure:
+            raise
+        except ContextualityError as exc:
+            return TripleReport(ids=ids, params=None, accardi=None, lp=None, error=str(exc))
+        return TripleReport(ids=ids, params=params, accardi=verdict, lp=lp)
+
     if workers > 1 and len(unique) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ids: evaluate_triple(source, ids, plan), unique))
+            results = list(pool.map(evaluate, unique))
     else:
-        results = [evaluate_triple(source, ids, plan) for ids in unique]
+        results = [evaluate(ids) for ids in unique]
     by_ids = dict(zip(unique, results))
     return [by_ids[ids] for ids in triples]
 
@@ -250,18 +250,6 @@ def summarize(reports: list[TripleReport], plan: SamplingPlan) -> PersEstimate:
         ci95_accardi=wilson_interval(accardi_violations, applicable),
         ci95_lp=wilson_interval(lp_violations, decided),
     )
-
-
-def estimate_pers(
-    source,
-    observables: ObservableSet,
-    plan: SamplingPlan,
-    workers: int = 1,
-) -> PersEstimate:
-    """Sample triples, run the pipeline on each, and tally the ratios."""
-    triples = sample_triples(observables, plan)
-    reports = evaluate_triples(source, triples, plan, workers=workers)
-    return summarize(reports, plan)
 
 
 def resolve_plan(plan: SamplingPlan, observables: ObservableSet) -> SamplingPlan:

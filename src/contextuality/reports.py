@@ -36,15 +36,6 @@ class AnalysisReport:
     triples: tuple[TripleReport, ...]
     pers: PersEstimate
 
-    def __post_init__(self):
-        tally = summarize(list(self.triples), self.plan)
-        if (
-            tally.violations != self.pers.violations
-            or tally.sampled != self.pers.sampled
-            or tally.applicable != self.pers.applicable
-        ):
-            raise ValueError("PersEstimate does not tally with the per-triple reports")
-
     @property
     def skipped(self) -> tuple[tuple[tuple[str, str, str], str], ...]:
         return tuple((r.ids, r.error) for r in self.triples if r.skipped)
@@ -53,7 +44,8 @@ class AnalysisReport:
 def analyze(
     source, observables: ObservableSet, plan: SamplingPlan, workers: int = 1
 ) -> AnalysisReport:
-    """Sample, evaluate, and package everything into one report."""
+    """The pipeline: sample triples, evaluate them, tally the ratios, and
+    package everything into one report."""
     plan = resolve_plan(plan, observables)
     triples = sample_triples(observables, plan)
     reports = evaluate_triples(source, triples, plan, workers=workers)
@@ -64,6 +56,13 @@ def analyze(
         triples=tuple(reports),
         pers=summarize(reports, plan),
     )
+
+
+def estimate_pers(
+    source, observables: ObservableSet, plan: SamplingPlan, workers: int = 1
+) -> PersEstimate:
+    """The tallied ratios of ``analyze``."""
+    return analyze(source, observables, plan, workers).pers
 
 
 def _sig(x: float) -> float:
@@ -165,26 +164,20 @@ def write_report(
     if format == "csv":
         lines = [",".join(_CSV_COLUMNS)]
         for triple in report.triples:
-            if triple.skipped:
-                reason = (triple.error or "").replace(",", ";").replace("\n", " ")
-                cells = list(triple.ids) + [""] * 11 + [reason]
-            else:
-                params = triple.params
-                cells = [
-                    *triple.ids,
-                    _csv_cell(_sig(params.p)),
-                    _csv_cell(_sig(params.q)),
-                    _csv_cell(_sig(params.r)),
-                    _csv_cell(_sig(params.deviations[0])),
-                    _csv_cell(_sig(params.deviations[1])),
-                    _csv_cell(_sig(params.deviations[2])),
-                    _csv_cell(params.applicable),
-                    triple.accardi.verdict,
-                    _csv_cell(_sig(triple.accardi.slack)),
-                    _csv_cell(triple.lp.feasible),
-                    _csv_cell(_sig(triple.lp.max_violation)),
-                    "",
-                ]
-            lines.append(",".join(cells))
+            row = _triple_row(triple)
+            params = row["params"] or {}
+            reason = (triple.error or "").replace(",", ";").replace("\n", " ")
+            cells = [
+                *triple.ids,
+                *(params.get(k) for k in "pqr"),
+                *params.get("deviations", (None,) * 3),
+                params.get("applicable"),
+                row["accardi_verdict"],
+                row["accardi_slack"],
+                row["lp_feasible"],
+                row["lp_max_violation"],
+                reason,
+            ]
+            lines.append(",".join(_csv_cell(cell) for cell in cells))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}")

@@ -10,22 +10,14 @@ parameter only when the deviation is within tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .datasets import (
-    ExactJointTable,
-    ExactQuantumModel,
-    JointRecordDataset,
-    PairLogDataset,
-    frozen_array,
-)
+from .datasets import frozen_array
 from .errors import EmptyPairData, PairMismatch, ZeroConditioningRow
 
 DEFAULT_BISTOCHASTIC_TOL = 0.05
-
-_UNSET = object()  # distinguishes "not supplied" from an explicit None
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,10 +55,11 @@ class TransitionMatrix:
         joint: 2x2 table priors[i] * entries[i][j] = P(A=i and B=j).
             Materialized so that downstream consistency checks and joint
             targets use one rounding of the underlying ratios.
+        bistochastic_tol: init-only; the tolerance for the bistochastic
+            hypothesis (the default tolerance when not given).
         bistochastic_param: the single parameter (entries[0][0] +
             entries[1][1]) / 2, present only when the matrix is
-            bistochastic within the tolerance used at estimation time
-            (the default tolerance when constructed directly).
+            bistochastic within ``bistochastic_tol``.
         bistochastic_deviation: |entries[0][0] - entries[1][1]|.
     """
 
@@ -74,10 +67,11 @@ class TransitionMatrix:
     entries: np.ndarray
     priors: np.ndarray
     joint: np.ndarray = None  # type: ignore[assignment]
-    bistochastic_param: float | None = _UNSET  # type: ignore[assignment]
-    bistochastic_deviation: float = None  # type: ignore[assignment]
+    bistochastic_tol: InitVar[float] = DEFAULT_BISTOCHASTIC_TOL
+    bistochastic_param: float | None = field(init=False)
+    bistochastic_deviation: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, bistochastic_tol):
         if self.pair[0] == self.pair[1]:
             raise ValueError("pair must name two distinct observables")
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -92,17 +86,12 @@ class TransitionMatrix:
             raise ValueError("priors must sum to 1")
         joint = self.joint
         joint = priors[:, None] * entries if joint is None else np.asarray(joint, np.float64)
-        deviation = self.bistochastic_deviation
-        if deviation is None:
-            deviation = float(abs(entries[0, 0] - entries[1, 1]))
         for name, arr in (("entries", entries), ("priors", priors), ("joint", joint)):
             object.__setattr__(self, name, frozen_array(arr, np.float64))
+        deviation = float(abs(entries[0, 0] - entries[1, 1]))
+        param = self.symmetrized_param if deviation <= bistochastic_tol else None
         object.__setattr__(self, "bistochastic_deviation", deviation)
-        if self.bistochastic_param is _UNSET:
-            param = None
-            if deviation <= DEFAULT_BISTOCHASTIC_TOL:
-                param = float((entries[0, 0] + entries[1, 1]) / 2.0)
-            object.__setattr__(self, "bistochastic_param", param)
+        object.__setattr__(self, "bistochastic_param", param)
 
     @property
     def symmetrized_param(self) -> float:
@@ -121,36 +110,25 @@ class ConsistencyReport:
 
 
 def count_pairs(dataset, a: str, b: str) -> CountTable:
-    """Count joint outcomes of observables ``a`` and ``b``.
-
-    Joint datasets are counted record by record; pair logs count every
-    entry mentioning the unordered pair, transposing entries logged in
-    (b, a) orientation.
+    """Joint outcome counts of observables ``a`` and ``b``, read from the
+    dataset's pair-statistics array (pair logs: entries logged in (b, a)
+    orientation count transposed).
 
     Raises:
         UnknownObservable: an id is not in the dataset.
         EmptyPairData: no records, or no logged entries for this pair.
+        TypeError: the source holds probabilities, not counts.
     """
     if a == b:
         raise ValueError("pair must name two distinct observables")
     obs = dataset.observables
     ia, ib = obs.index_of(a), obs.index_of(b)
-    counts = np.zeros((2, 2), dtype=np.int64)
-    if isinstance(dataset, JointRecordDataset):
-        if len(dataset) == 0:
-            raise EmptyPairData(f"no records for pair ({a!r}, {b!r})")
-        col_a = dataset.records[:, ia].astype(np.int64)
-        col_b = dataset.records[:, ib].astype(np.int64)
-        np.add.at(counts, (col_a, col_b), 1)
-    elif isinstance(dataset, PairLogDataset):
-        forward = (dataset.first_index == ia) & (dataset.second_index == ib)
-        backward = (dataset.first_index == ib) & (dataset.second_index == ia)
-        if not forward.any() and not backward.any():
-            raise EmptyPairData(f"no logged pairs for ({a!r}, {b!r})")
-        np.add.at(counts, (dataset.first_value[forward], dataset.second_value[forward]), 1)
-        np.add.at(counts, (dataset.second_value[backward], dataset.first_value[backward]), 1)
-    else:
+    stats = dataset.pair_statistics
+    if stats.exact:
         raise TypeError(f"cannot count pairs on {type(dataset).__name__}")
+    counts = stats.table[ia, ib]
+    if not counts.any():
+        raise EmptyPairData(f"{stats.missing} ({a!r}, {b!r})")
     return CountTable((a, b), counts)
 
 
@@ -185,7 +163,7 @@ def estimate_transition(
     entries = (table + smoothing) / denom_rows[:, None]
     priors = denom_rows / denom_total
     joint = (table + smoothing) / denom_total
-    return _finish(counts.pair, entries, priors, joint, bistochastic_tol)
+    return TransitionMatrix(counts.pair, entries, priors, joint, bistochastic_tol)
 
 
 def transition_from_joint(
@@ -202,22 +180,7 @@ def transition_from_joint(
             f"outcome {i} of {pair[0]!r} has zero probability; conditionals undefined"
         )
     entries = joint / rows[:, None]
-    return _finish(pair, entries, rows, joint, bistochastic_tol)
-
-
-def _finish(pair, entries, priors, joint, bistochastic_tol) -> TransitionMatrix:
-    deviation = float(abs(entries[0, 0] - entries[1, 1]))
-    param = None
-    if deviation <= bistochastic_tol:
-        param = float((entries[0, 0] + entries[1, 1]) / 2.0)
-    return TransitionMatrix(
-        pair=pair,
-        entries=entries,
-        priors=priors,
-        joint=joint,
-        bistochastic_param=param,
-        bistochastic_deviation=deviation,
-    )
+    return TransitionMatrix(pair, entries, rows, joint, bistochastic_tol)
 
 
 def pair_transition(
@@ -232,12 +195,15 @@ def pair_transition(
     Exact models are evaluated analytically; empirical datasets are
     counted and estimated with the given smoothing.
     """
-    if isinstance(source, (ExactJointTable, ExactQuantumModel)):
-        joint = source.pair_joint(conditioning, conditioned)
-        return transition_from_joint((conditioning, conditioned), joint, bistochastic_tol)
-    return estimate_transition(
-        count_pairs(source, conditioning, conditioned), smoothing, bistochastic_tol
-    )
+    stats = source.pair_statistics
+    if not stats.exact:
+        return estimate_transition(
+            count_pairs(source, conditioning, conditioned), smoothing, bistochastic_tol
+        )
+    ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
+    if ia == ib:
+        raise ValueError("pair must name two distinct observables")
+    return transition_from_joint((conditioning, conditioned), stats.table[ia, ib], bistochastic_tol)
 
 
 def bayes_consistency(

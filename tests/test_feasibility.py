@@ -1,4 +1,6 @@
+import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from contextuality import (
     JointFeasibilityProblem,
     ObservableSet,
     ProblemTooLarge,
+    SolverFailure,
     TransitionMatrix,
     accardi_check,
     bistochastic_triple_problem,
@@ -16,8 +19,11 @@ from contextuality import (
     feasibility_from_dataset,
     pair_marginal,
 )
+from contextuality import feasibility
 from contextuality.accardi import TripleParams
+from contextuality.cli import cli_main
 from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from contextuality.io import read_marginals
 
 from oracles import oracle_decide
 
@@ -125,6 +131,45 @@ class TestDecideFeasibility:
         assert result.feasible
         assert result.witness.sum() == pytest.approx(1.0, abs=1e-8)
         assert result.witness.min() >= -1e-12
+
+
+class TestWitnessRecheck:
+    """HiGHS may bend constraints by its own primal tolerance; a witness is
+    certified only if it re-marginalizes, and is non-negative, to 2 x tol."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "lp_tolerance_t8.json"
+
+    def test_frozen_problem_once_raising_solver_failure_is_feasible(self):
+        # 8 of the 12 observables of an empirical joint: feasible by
+        # construction, yet its witness missed the targets by 6.5e-8 when
+        # HiGHS ran at its default 1e-7 tolerance.
+        problem = read_marginals(self.FIXTURE)
+        result = decide_feasibility(problem)
+        assert result.feasible
+        worst = max(
+            np.abs(pair_marginal(result.witness, 8, 2, key) - table).max()
+            for key, table in problem.pair_marginals.items()
+        )
+        assert worst <= 2 * problem.tolerance
+        assert result.witness.min() >= -2 * problem.tolerance
+
+    def test_lp_command_on_frozen_problem_exits_zero(self):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli_main(["lp", str(self.FIXTURE)], out, err) == 0
+        assert out.getvalue().startswith("feasible: yes")
+
+    def test_witness_with_negative_entry_is_rejected(self, monkeypatch):
+        # only (A, B) is constrained; mass moved from (0,0,1) to (0,0,0) keeps
+        # every marginal exact but leaves a negative entry of -1e-6
+        table = np.full((2, 2), 0.25)
+        problem = JointFeasibilityProblem(3, 2, {(0, 1): table})
+        witness = np.full(8, 0.125)
+        witness[0] += 1e-6 + 0.125
+        witness[1] -= 1e-6 + 0.125
+        assert np.allclose(pair_marginal(witness, 3, 2, (0, 1)), table, atol=1e-15)
+        monkeypatch.setattr(feasibility, "linear_feasibility", lambda *args: (0.0, witness))
+        with pytest.raises(SolverFailure, match="witness violates targets"):
+            decide_feasibility(problem)
 
 
 class TestProperties:

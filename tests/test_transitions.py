@@ -252,6 +252,16 @@ class TestTransitionMatrixInvariants:
                 pair=("A", "B"), entries=np.eye(2), priors=np.array([0.7, 0.5])
             )
 
+    def test_bistochastic_tolerance_decides_the_parameter(self):
+        entries = np.array([[0.8, 0.2], [0.3, 0.7]])  # deviation 0.1
+        default = TransitionMatrix(pair=("A", "B"), entries=entries, priors=[0.5, 0.5])
+        assert default.bistochastic_deviation == pytest.approx(0.1)
+        assert default.bistochastic_param is None  # beyond the default 0.05
+        loose = TransitionMatrix(("A", "B"), entries, [0.5, 0.5], bistochastic_tol=0.2)
+        assert loose.bistochastic_param == pytest.approx(0.75)
+        assert estimate_transition(CountTable(("A", "B"), [[8, 2], [3, 7]]), bistochastic_tol=0.2
+                                   ).bistochastic_param == loose.bistochastic_param
+
     def test_joint_defaults_to_prior_times_entries(self):
         t = TransitionMatrix(
             pair=("A", "B"), entries=np.eye(2), priors=np.array([0.25, 0.75])
