@@ -8,15 +8,12 @@ Subcommands:
     gen       classical | quantum -> dataset file + exact tables file
 
 Exit status: 0 success, 1 usage error, 2 data error, 3 solver failure.
-The ``CONTEXTUALITY_WORKERS`` environment variable sets the default
-worker-thread count for triple evaluation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,7 +21,7 @@ import numpy as np
 
 from .datasets import same_outcome_probability
 from .errors import DataError, SolverFailure
-from .feasibility import decide_feasibility, feasibility_from_dataset
+from .feasibility import DEFAULT_FEASIBILITY_TOL, decide_feasibility, feasibility_from_dataset
 from .generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 from .hypergraph import enumerate_two_valued_states, find_state, is_connected, validate
 from .io import (
@@ -37,13 +34,12 @@ from .io import (
 )
 from .personalization import SamplingPlan
 from .reports import analyze, write_report
+from .transitions import DEFAULT_BISTOCHASTIC_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
-
-WORKERS_ENV = "CONTEXTUALITY_WORKERS"
 
 
 class _UsageError(Exception):
@@ -120,22 +116,18 @@ def _dataset_flags(parser) -> None:
 
 def _tolerance_flags(parser) -> None:
     parser.add_argument("--smoothing", type=float, default=0.0)
-    parser.add_argument("--tol-b", type=float, default=0.05, help="bistochastic tolerance")
-    parser.add_argument("--tol-lp", type=float, default=1e-8, help="feasibility tolerance")
+    parser.add_argument(
+        "--tol-b", type=float, default=DEFAULT_BISTOCHASTIC_TOL, help="bistochastic tolerance"
+    )
+    parser.add_argument(
+        "--tol-lp", type=float, default=DEFAULT_FEASIBILITY_TOL, help="feasibility tolerance"
+    )
 
 
 def _load_dataset(args):
     if args.input_format == "joint":
         return read_joint(args.input)
     return read_pairlog(args.input)
-
-
-def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise _UsageError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _cmd_pers(args, out) -> int:
@@ -148,7 +140,7 @@ def _cmd_pers(args, out) -> int:
         smoothing=args.smoothing,
         feasibility_tol=args.tol_lp,
     )
-    report = analyze(dataset, dataset.observables, plan, workers=_workers())
+    report = analyze(dataset, dataset.observables, plan)
     text = write_report(report, format=args.format)
     if args.out is None:
         out.write(text)

@@ -126,6 +126,8 @@ class PairLogDataset:
         for idx in (fi, si):
             if idx.size and (idx.min() < 0 or idx.max() >= t):
                 raise ValueError("entry references an observable outside the set")
+        if (fi == si).any():
+            raise ValueError("entry pairs an observable with itself")
         for val in (fv, sv):
             if val.size and (val.min() < 0 or val.max() > 1):
                 raise ValueError("logged values must be 0 or 1")

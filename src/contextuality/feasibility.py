@@ -47,7 +47,7 @@ class JointFeasibilityProblem:
             tables J[i][j] = target P(A_a = i and A_b = j).  Pairs not
             present are unconstrained (partial marginal problems are
             allowed: pair logs may simply lack some pairs).
-        tolerance: feasibility slack bound.
+        tolerance: feasibility slack bound, finite and > 0.
         observable_ids: optional display names, index-aligned.
     """
 
@@ -61,6 +61,8 @@ class JointFeasibilityProblem:
         t, n = self.num_observables, self.num_outcomes
         if t < 1 or n < 2:
             raise ValueError("need at least one observable with two outcomes")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"feasibility tolerance must be finite and > 0, got {self.tolerance}")
         tables = {}
         for key, table in self.pair_marginals.items():
             a, b = key

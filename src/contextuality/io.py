@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import JointRecordDataset, PairLogDataset
 from .errors import HeaderMismatch, NonBinaryValue, ParseError
-from .feasibility import JointFeasibilityProblem
+from .feasibility import DEFAULT_FEASIBILITY_TOL, JointFeasibilityProblem
 from .hypergraph import ContextHypergraph
 from .observables import ObservableSet
 
@@ -111,6 +111,8 @@ def read_pairlog(path) -> PairLogDataset:
         obs_b = parts[2].strip()
         if not obs_a or not obs_b:
             raise ParseError("empty observable name", line=lineno)
+        if obs_a == obs_b:
+            raise ParseError(f"entry pairs {obs_a!r} with itself", line=lineno)
         columns[1].append(_parse_bit(parts[1], lineno, 2))
         columns[3].append(_parse_bit(parts[3], lineno, 4))
         columns[0].append(index.setdefault(obs_a, len(index)))
@@ -178,9 +180,12 @@ def read_marginals(path) -> JointFeasibilityProblem:
     try:
         names = list(doc["observables"])
         n = int(doc["num_outcomes"])
-        pair_entries = doc["pairs"]
-    except (KeyError, TypeError) as exc:
+        pair_entries = list(doc["pairs"])
+        tolerance = float(doc.get("tolerance", DEFAULT_FEASIBILITY_TOL))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from None
+    if not all(isinstance(name, str) for name in names):
+        raise ParseError("observable names must be strings")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ParseError("observable names must be distinct")
@@ -191,14 +196,13 @@ def read_marginals(path) -> JointFeasibilityProblem:
             table = np.asarray(entry["table"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed pair entry: {exc}") from None
-        if a not in index or b not in index:
+        if a not in names or b not in names:
             raise ParseError(f"pair ({a!r}, {b!r}) references unknown observables")
         ia, ib = index[a], index[b]
         if ia == ib:
             raise ParseError(f"pair ({a!r}, {b!r}) must name two distinct observables")
         key = (ia, ib) if ia < ib else (ib, ia)
         marginals[key] = table if ia < ib else table.T
-    tolerance = float(doc.get("tolerance", 1e-8))
     try:
         return JointFeasibilityProblem(
             num_observables=len(names),

@@ -10,18 +10,15 @@ only applies to bistochastic triples:
 * ``pers_lp``: feasibility-violating fraction among all decided
   triples (the general test, no hypothesis needed).
 
-All sampling and evaluation is deterministic given the plan seed, and
-independent of the number of worker threads: every ordered pair's
-transition is estimated once before the fan-out, then triples are
-evaluated as pure functions of those estimates and merged in sampled
-order.
+All sampling and evaluation is deterministic given the plan seed: every
+ordered pair's transition is estimated once, then each distinct triple
+is evaluated as a pure function of those estimates, in sampled order.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -191,20 +188,19 @@ def evaluate_triples(
     source,
     triples: list[tuple[str, str, str]],
     plan: SamplingPlan,
-    workers: int = 1,
 ) -> list[TripleReport]:
-    """Run the pipeline on each triple (possibly concurrently), merged in
-    sampled order; a triple whose data fails becomes a skip report.
+    """Run the pipeline on each triple, in sampled order; a triple whose
+    data fails becomes a skip report.
 
-    Each ordered pair the triples need is estimated once, before any
-    worker starts; evaluation is then a pure function of (ids, those
-    estimates, plan), so repeated triples (with-replacement sampling)
-    are computed once and reused.
+    Each ordered pair the triples need is estimated once up front;
+    evaluation is then a pure function of (ids, those estimates, plan),
+    so repeated triples (with-replacement sampling) are computed once
+    and reused.
     """
     unique = list(dict.fromkeys(triples))
     transitions = triple_transitions(source, unique, plan.smoothing, plan.bistochastic_tol)
-
-    def evaluate(ids) -> TripleReport:
+    by_ids = {}
+    for ids in unique:
         try:
             params, verdict, lp = feasibility_from_dataset(
                 source, ids, plan.smoothing, plan.bistochastic_tol, plan.feasibility_tol,
@@ -213,15 +209,9 @@ def evaluate_triples(
         except SolverFailure:
             raise
         except ContextualityError as exc:
-            return TripleReport(ids=ids, params=None, accardi=None, lp=None, error=str(exc))
-        return TripleReport(ids=ids, params=params, accardi=verdict, lp=lp)
-
-    if workers > 1 and len(unique) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, unique))
-    else:
-        results = [evaluate(ids) for ids in unique]
-    by_ids = dict(zip(unique, results))
+            by_ids[ids] = TripleReport(ids=ids, params=None, accardi=None, lp=None, error=str(exc))
+        else:
+            by_ids[ids] = TripleReport(ids=ids, params=params, accardi=verdict, lp=lp)
     return [by_ids[ids] for ids in triples]
 
 

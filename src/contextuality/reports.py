@@ -41,14 +41,12 @@ class AnalysisReport:
         return tuple((r.ids, r.error) for r in self.triples if r.skipped)
 
 
-def analyze(
-    source, observables: ObservableSet, plan: SamplingPlan, workers: int = 1
-) -> AnalysisReport:
+def analyze(source, observables: ObservableSet, plan: SamplingPlan) -> AnalysisReport:
     """The pipeline: sample triples, evaluate them, tally the ratios, and
     package everything into one report."""
     plan = resolve_plan(plan, observables)
     triples = sample_triples(observables, plan)
-    reports = evaluate_triples(source, triples, plan, workers=workers)
+    reports = evaluate_triples(source, triples, plan)
     return AnalysisReport(
         source=getattr(source, "observables", observables).source or "<in-memory>",
         observable_ids=observables.ids(),
@@ -58,11 +56,9 @@ def analyze(
     )
 
 
-def estimate_pers(
-    source, observables: ObservableSet, plan: SamplingPlan, workers: int = 1
-) -> PersEstimate:
+def estimate_pers(source, observables: ObservableSet, plan: SamplingPlan) -> PersEstimate:
     """The tallied ratios of ``analyze``."""
-    return analyze(source, observables, plan, workers).pers
+    return analyze(source, observables, plan).pers
 
 
 def _sig(x: float) -> float:

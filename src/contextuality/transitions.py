@@ -56,7 +56,8 @@ class TransitionMatrix:
             Materialized so that downstream consistency checks and joint
             targets use one rounding of the underlying ratios.
         bistochastic_tol: init-only; the tolerance for the bistochastic
-            hypothesis (the default tolerance when not given).
+            hypothesis, finite and >= 0 (the default tolerance when not
+            given).
         bistochastic_param: the single parameter (entries[0][0] +
             entries[1][1]) / 2, present only when the matrix is
             bistochastic within ``bistochastic_tol``.
@@ -74,6 +75,8 @@ class TransitionMatrix:
     def __post_init__(self, bistochastic_tol):
         if self.pair[0] == self.pair[1]:
             raise ValueError("pair must name two distinct observables")
+        if not 0.0 <= bistochastic_tol < math.inf:
+            raise ValueError(f"bistochastic_tol must be finite and >= 0, got {bistochastic_tol}")
         entries = np.asarray(self.entries, dtype=np.float64)
         priors = np.asarray(self.priors, dtype=np.float64)
         if entries.shape != (2, 2) or priors.shape != (2,):
@@ -145,11 +148,12 @@ def estimate_transition(
         priors[i]     = (row_i + 2a) / (total + 4a)
 
     Raises:
+        ValueError: a is negative or not finite.
         ZeroConditioningRow: a = 0 and some conditioning outcome never
             occurs, so the conditional is undefined.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
+    if not 0.0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     table = counts.counts.astype(np.float64)
     rows = table.sum(axis=1)
     if smoothing == 0.0 and (rows == 0).any():

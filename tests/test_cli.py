@@ -6,6 +6,8 @@ import pytest
 from contextuality import SolverFailure
 from contextuality.cli import cli_main
 
+from test_io import MALFORMED_MARGINALS
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -98,10 +100,9 @@ class TestPers:
         lines = out_file.read_text().strip().splitlines()
         assert len(lines) == 2
 
-    def test_byte_identical_across_runs_and_workers(self, trine_dir, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, trine_dir, tmp_path):
         outputs = []
-        for workers, name in (("1", "r1.json"), ("8", "r8.json"), ("1", "r1b.json")):
-            monkeypatch.setenv("CONTEXTUALITY_WORKERS", workers)
+        for name in ("r1.json", "r2.json", "r3.json"):
             out_file = tmp_path / name
             code, _, err = run(
                 ["pers", "--input", str(trine_dir / "pairs"), "--input-format", "pairlog",
@@ -110,6 +111,34 @@ class TestPers:
             assert code == 0, err
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestNonsenseTolerances:
+    @pytest.mark.parametrize("command", ["pers", "triple"])
+    @pytest.mark.parametrize("flag", ["--tol-lp", "--tol-b", "--smoothing"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_dataset_commands_exit_two(self, trine_dir, command, flag, value):
+        argv = [command, "--input", str(trine_dir / "pairs"), "--input-format", "pairlog",
+                flag, value]
+        if command == "triple":
+            argv += ["--ids", "a0,a1,a2"]
+        code, out, err = run(argv)
+        assert code == 2, (out, err)
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_lp_tolerance_exits_two(self, tmp_path, value):
+        doc = {
+            "observables": ["A", "B"],
+            "num_outcomes": 2,
+            "pairs": [{"pair": ["A", "B"], "table": [[0.5, 0.0], [0.0, 0.5]]}],
+            "tolerance": value,
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["lp", str(path)])
+        assert code == 2, (out, err)
+        assert "must be finite" in err
 
 
 class TestTriple:
@@ -164,6 +193,14 @@ class TestLp:
         path.write_text("{broken")
         code, _, _ = run(["lp", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("doc", MALFORMED_MARGINALS)
+    def test_malformed_field_types_are_data_errors(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(["lp", str(path)])
+        assert code == 2
+        assert err.startswith("data error:")
 
     def test_solver_failure_maps_to_exit_three(self, tmp_path, monkeypatch):
         doc = {

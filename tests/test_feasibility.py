@@ -126,6 +126,11 @@ class TestDecideFeasibility:
         assert not result.feasible
         assert result.max_violation > 0.1
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_nonsense_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="feasibility tolerance must be finite and > 0"):
+            bistochastic_triple_problem(0.25, 0.25, 0.25, tolerance=tol)
+
     def test_witness_sums_to_one(self):
         result = decide_feasibility(bistochastic_triple_problem(0.9, 0.9, 0.8))
         assert result.feasible

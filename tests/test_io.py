@@ -24,6 +24,18 @@ from contextuality.hypergraph import ContextHypergraph
 from contextuality.reports import analyze, write_report
 
 
+_PAIR_AB = {"pair": ["A", "B"], "table": [[0.5, 0.0], [0.0, 0.5]]}
+MALFORMED_MARGINALS = [
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2, "pairs": 5}, id="int-pairs"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2, "pairs": [_PAIR_AB],
+                  "tolerance": None}, id="null-tolerance"),
+    pytest.param({"observables": [["A"], "B"], "num_outcomes": 2, "pairs": [_PAIR_AB]},
+                 id="list-observable"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2,
+                  "pairs": [{**_PAIR_AB, "pair": [["A"], "B"]}]}, id="list-in-pair"),
+]
+
+
 class TestJointFormat:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -90,6 +102,13 @@ class TestPairlogFormat:
         write_pairlog(loaded, second)
         assert path.read_bytes() == second.read_bytes()
 
+    def test_self_pair_reports_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("obs_a,val_a,obs_b,val_b\nA,0,B,1\nx,0,x,1\n")
+        with pytest.raises(ParseError, match="pairs 'x' with itself") as excinfo:
+            read_pairlog(path)
+        assert excinfo.value.line == 3
+
     def test_non_binary_value(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("obs_a,val_a,obs_b,val_b\nA,0,B,x\n")
@@ -155,6 +174,13 @@ class TestMarginalsFormat:
         with pytest.raises(ParseError):
             read_marginals(path)
 
+    @pytest.mark.parametrize("doc", MALFORMED_MARGINALS)
+    def test_malformed_field_types(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            read_marginals(path)
+
 
 class TestReportSerialization:
     @pytest.fixture()
@@ -164,9 +190,7 @@ class TestReportSerialization:
 
     def test_json_body_is_deterministic(self, report):
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=2000, seed=7))
-        again = analyze(
-            sample.dataset, sample.dataset.observables, SamplingPlan(mode="exhaustive"), workers=8
-        )
+        again = analyze(sample.dataset, sample.dataset.observables, SamplingPlan(mode="exhaustive"))
         assert write_report(report) == write_report(again)
 
     def test_metadata_is_separate_from_body(self, report):

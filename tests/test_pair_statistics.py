@@ -158,9 +158,17 @@ class TestMissingData:
             "no logged pairs for ('a2', 'a0')",
             "outcome 0 of 'a1' never occurs; conditionals undefined without smoothing",
         ]
-        for workers in (1, 3):
-            reports = evaluate_triples(log, triples, plan, workers=workers)
-            assert [r.error for r in reports] == expected
+        reports = evaluate_triples(log, triples, plan)
+        assert [r.error for r in reports] == expected
+
+
+class TestSelfPairs:
+    def test_entry_pairing_an_observable_with_itself_is_rejected(self):
+        obs = ObservableSet.from_ids(["A", "B"])
+        with pytest.raises(ValueError, match="pairs an observable with itself"):
+            PairLogDataset(obs, [0, 1], [0, 1], [1, 1], [1, 0])
+        with pytest.raises(ValueError, match="pairs an observable with itself"):
+            PairLogDataset.from_entries(obs, [("A", 0, "B", 1), ("A", 1, "A", 1)])
 
 
 class TestPipelineReadsEachPairOnce:
@@ -188,14 +196,13 @@ class TestPipelineReadsEachPairOnce:
         monkeypatch.setattr(transitions, "estimate_transition", spy)
         return estimated
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_pers_builds_once_and_estimates_each_ordered_pair_once(self, monkeypatch, workers):
+    def test_pers_builds_once_and_estimates_each_ordered_pair_once(self, monkeypatch):
         builds = self.spy_table_builds(monkeypatch, PairLogDataset)
         estimated = self.spy_estimates(monkeypatch)
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 30.0, 75.0, 140.0, 200.0, 290.0),
                                             shots=300, seed=4))
         plan = SamplingPlan(mode="exhaustive")
-        report = analyze(sample.dataset, sample.dataset.observables, plan, workers=workers)
+        report = analyze(sample.dataset, sample.dataset.observables, plan)
         needed = {pair for a, b, c in sample_triples(sample.dataset.observables, plan)
                   for pair in ((b, a), (c, b), (a, c))}
         assert report.pers.decided == 20
@@ -207,6 +214,6 @@ class TestPipelineReadsEachPairOnce:
         estimated = self.spy_estimates(monkeypatch)
         sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=2000, seed=1))
         plan = SamplingPlan(num_triples=60, mode="with_replacement", seed=2)
-        analyze(sample.dataset, sample.dataset.observables, plan, workers=2)
+        analyze(sample.dataset, sample.dataset.observables, plan)
         assert builds == [sample.dataset]
         assert len(estimated) == len(set(estimated))

@@ -102,6 +102,11 @@ class TestEstimateTransition:
         with pytest.raises(ValueError):
             estimate_transition(CountTable(("A", "B"), [[1, 1], [1, 1]]), smoothing=-0.1)
 
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
+    def test_nonsense_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
+            estimate_transition(CountTable(("A", "B"), [[1, 1], [1, 1]]), smoothing=smoothing)
+
     @given(
         counts=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
         smoothing=st.floats(0.0, 100.0, allow_nan=False),
@@ -261,6 +266,13 @@ class TestTransitionMatrixInvariants:
         assert loose.bistochastic_param == pytest.approx(0.75)
         assert estimate_transition(CountTable(("A", "B"), [[8, 2], [3, 7]]), bistochastic_tol=0.2
                                    ).bistochastic_param == loose.bistochastic_param
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_nonsense_bistochastic_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="bistochastic_tol must be finite and >= 0"):
+            TransitionMatrix(("A", "B"), np.eye(2), [0.5, 0.5], bistochastic_tol=tol)
+        with pytest.raises(ValueError, match="bistochastic_tol must be finite and >= 0"):
+            estimate_transition(CountTable(("A", "B"), [[8, 2], [3, 7]]), bistochastic_tol=tol)
 
     def test_joint_defaults_to_prior_times_entries(self):
         t = TransitionMatrix(
