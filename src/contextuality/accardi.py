@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import ContextualityError
 from .transitions import DEFAULT_BISTOCHASTIC_TOL, TransitionMatrix, pair_transition
 
 EQUALITY_TOL = 1e-9
@@ -88,54 +87,26 @@ def accardi_check(params: TripleParams, equality_tol: float = EQUALITY_TOL) -> A
     return AccardiVerdict(verdict=verdict, lower=lower, upper=upper, slack=slack)
 
 
-def _cyclic_pairs(ids: tuple[str, str, str]) -> tuple[tuple[str, str], ...]:
-    """(conditioning, conditioned) pairs of P(A|B), P(B|C), P(C|A)."""
-    a, b, c = ids
-    return ((b, a), (c, b), (a, c))
-
-
-def triple_transitions(
-    source,
-    triples,
-    smoothing: float = 0.0,
-    bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
-) -> dict[tuple[str, str], TransitionMatrix | ContextualityError]:
-    """The transition matrices the triples need, each ordered pair
-    estimated once; a pair whose estimate raises a package error maps to
-    that error, for ``triple_params`` to re-raise."""
-    found: dict[tuple[str, str], TransitionMatrix | ContextualityError] = {}
-    for ids in triples:
-        for pair in _cyclic_pairs(ids):
-            if pair not in found:
-                try:
-                    found[pair] = pair_transition(source, *pair, smoothing, bistochastic_tol)
-                except ContextualityError as exc:
-                    found[pair] = exc
-    return found
-
-
 def triple_params(
     source,
     ids: tuple[str, str, str],
     smoothing: float = 0.0,
     bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
-    transitions: dict | None = None,
 ) -> tuple[TripleParams, tuple[TransitionMatrix, TransitionMatrix, TransitionMatrix]]:
     """Estimate the cyclic transition matrices of a triple and its parameters.
 
     Returns the params together with the three matrices (P(A|B), P(B|C),
     P(C|A)) so callers can reuse them, e.g. as joint targets for the
-    feasibility solver.  ``transitions``, from ``triple_transitions`` with
-    the same smoothing and tolerance, replaces the estimates.
+    feasibility solver.  Each matrix comes from ``pair_transition``, which
+    memoizes it on the source.
     """
     if len(set(ids)) != 3:
         raise ValueError("triple must name three distinct observables")
-    if transitions is None:
-        transitions = triple_transitions(source, [ids], smoothing, bistochastic_tol)
-    matrices = tuple(transitions[pair] for pair in _cyclic_pairs(ids))
-    for found in matrices:
-        if isinstance(found, Exception):
-            raise found
+    a, b, c = ids
+    matrices = tuple(
+        pair_transition(source, *pair, smoothing, bistochastic_tol)
+        for pair in ((b, a), (c, b), (a, c))
+    )
     params = TripleParams(
         tuple(ids),
         *(m.symmetrized_param for m in matrices),  # p, q, r

@@ -14,7 +14,8 @@ pipelines bypass sampling noise entirely.
 
 Every source reduces to one ``PairStatistics`` array, built once on
 first use: pair counts for the empirical formats, pair probabilities for
-the exact models.  Nothing downstream reads the raw rows again.
+the exact models.  Nothing downstream reads the raw rows again, and each
+transition estimated from the array is memoized beside it.
 
 Product outcomes are indexed with observable 0 as the most significant
 digit: outcome index = sum over t of value_t * n**(T-1-t).  This
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -53,11 +54,13 @@ class PairStatistics:
     probability) with observable a = i and observable b = j; ``table[b, a]``
     is ``table[a, b]`` transposed, and the diagonal a = b is unused.  A pair
     with no data has an all-zero table and is described by ``missing``.
+    ``_transitions`` is the memo of ``transitions.pair_transition``.
     """
 
     table: np.ndarray
     exact: bool = False
     missing: str = "no data for pair"
+    _transitions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         dtype = np.float64 if self.exact else np.int64

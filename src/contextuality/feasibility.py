@@ -28,7 +28,7 @@ from .accardi import AccardiVerdict, TripleParams, accardi_check, triple_params
 from .errors import InconsistentOrientations, ProblemTooLarge, SolverFailure
 from .datasets import frozen_array
 from .observables import ObservableSet
-from .transitions import DEFAULT_BISTOCHASTIC_TOL, TransitionMatrix
+from .transitions import DEFAULT_BISTOCHASTIC_TOL, TransitionMatrix, check_tolerance
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 MAX_PRODUCT_OUTCOMES = 10**6
@@ -61,8 +61,7 @@ class JointFeasibilityProblem:
         t, n = self.num_observables, self.num_outcomes
         if t < 1 or n < 2:
             raise ValueError("need at least one observable with two outcomes")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"feasibility tolerance must be finite and > 0, got {self.tolerance}")
+        check_tolerance("feasibility tolerance", self.tolerance, positive=True)
         tables = {}
         for key, table in self.pair_marginals.items():
             a, b = key
@@ -272,15 +271,13 @@ def feasibility_from_dataset(
     smoothing: float = 0.0,
     bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
     tolerance: float = DEFAULT_FEASIBILITY_TOL,
-    transitions: dict | None = None,
 ) -> tuple[TripleParams, AccardiVerdict, FeasibilityResult]:
     """End-to-end pipeline for one triple: estimate, check invariants, solve.
 
     Returns the triple parameters, the closed-form verdict, and the
     feasibility result for the pair-joint targets implied by the data.
-    ``transitions`` is passed on to ``triple_params``.
     """
-    params, matrices = triple_params(source, ids, smoothing, bistochastic_tol, transitions)
+    params, matrices = triple_params(source, ids, smoothing, bistochastic_tol)
     verdict = accardi_check(params)
     triple_set = source.observables.subset(ids)
     problem = build_problem(matrices, triple_set, tolerance)

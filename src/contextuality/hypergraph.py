@@ -226,11 +226,13 @@ def enumerate_two_valued_states(
 ) -> list[TwoValuedState]:
     """All 0/1 states with exactly one atom true per context.
 
-    Exhaustive backtracking (exact-cover style), deterministic: contexts
-    are processed in declaration order and atoms tried lexicographically;
-    the returned list is sorted lexicographically by the value vector
-    over atom ids.  An empty result certifies a Kochen-Specker-type
-    obstruction at the 0/1 level.
+    Exhaustive backtracking, deterministic: contexts are visited in
+    declaration order; a context holding no true atom tries each of its
+    atoms not yet false as the true one, in sorted order, and setting an
+    atom true sets every atom sharing a context with it false.  The first
+    ``limit`` states found are kept, and the returned list is sorted
+    lexicographically by the value vector over atom ids.  An empty result
+    certifies a Kochen-Specker-type obstruction at the 0/1 level.
 
     Atoms outside every context are pinned to 0, so enumeration is
     meaningful primarily for hypergraphs that validate.
@@ -241,69 +243,25 @@ def enumerate_two_valued_states(
     atoms = hypergraph.atoms
     if len(atoms) > MAX_ENUMERATION_ATOMS:
         raise ProblemTooLarge(f"{len(atoms)} atoms exceed {MAX_ENUMERATION_ATOMS}")
-    if limit is not None and limit <= 0:
-        return []
+    contexts = [frozenset(c) for c in hypergraph.contexts]
+    neighbours = {a: frozenset().union(*(c for c in contexts if a in c)) - {a} for a in atoms}
+    found: list[frozenset[str]] = []
 
-    atom_contexts: dict[str, list[int]] = {a: [] for a in atoms}
-    contexts = [tuple(sorted(set(c))) for c in hypergraph.contexts]
-    for ci, context in enumerate(contexts):
-        for atom in context:
-            atom_contexts[atom].append(ci)
-
-    assignment: dict[str, int] = {}
-    found: list[dict[str, int]] = []
-
-    def assign(atom: str, value: int, trail: list[str]) -> bool:
-        """Set atom=value, propagating exclusions; False on conflict."""
-        if atom in assignment:
-            return assignment[atom] == value
-        assignment[atom] = value
-        trail.append(atom)
-        if value == 1:
-            for ci in atom_contexts[atom]:
-                for other in contexts[ci]:
-                    if other != atom and not assign(other, 0, trail):
-                        return False
-        return True
-
-    def context_state(ci: int) -> tuple[bool, list[str]]:
-        has_one = any(assignment.get(a) == 1 for a in contexts[ci])
-        open_atoms = [a for a in contexts[ci] if a not in assignment]
-        return has_one, open_atoms
-
-    def search(ci: int):
+    def search(ci: int, true: frozenset[str], false: frozenset[str]):
         if limit is not None and len(found) >= limit:
             return
         if ci == len(contexts):
-            complete = dict(assignment)
-            for atom in atoms:
-                complete.setdefault(atom, 0)
-            found.append(complete)
-            return
-        has_one, open_atoms = context_state(ci)
-        if has_one:
-            trail: list[str] = []
-            if all(assign(a, 0, trail) for a in open_atoms):
-                search(ci + 1)
-            for a in trail:
-                del assignment[a]
-            return
-        if not open_atoms:
-            return  # every atom 0: context unsatisfiable on this branch
-        for chosen in open_atoms:
-            trail = []
-            ok = assign(chosen, 1, trail) and all(
-                assign(a, 0, trail) for a in open_atoms if a != chosen
-            )
-            if ok:
-                search(ci + 1)
-            for a in trail:
-                del assignment[a]
+            found.append(true)
+        elif contexts[ci] & true:
+            search(ci + 1, true, false)
+        else:
+            for chosen in sorted(contexts[ci] - false):
+                search(ci + 1, true | {chosen}, false | neighbours[chosen])
 
-    search(0)
+    search(0, frozenset(), frozenset())
     ordered_ids = sorted(set(atoms))
-    found.sort(key=lambda values: tuple(values[a] for a in ordered_ids))
-    return [TwoValuedState(values) for values in found]
+    found.sort(key=lambda true: tuple(a in true for a in ordered_ids))
+    return [TwoValuedState({a: int(a in true) for a in atoms}) for true in found]
 
 
 def is_connected(hypergraph: ContextHypergraph) -> bool:

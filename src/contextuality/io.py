@@ -172,44 +172,59 @@ def read_marginals(path) -> JointFeasibilityProblem:
           "pairs": [{"pair": ["A", "B"], "table": [[0.5, 0.0], [0.0, 0.5]]}],
           "tolerance": 1e-8            // optional
         }
+
+    Types are checked, not coerced: ``observables`` is a list of distinct
+    strings, ``num_outcomes`` an integer, ``tolerance`` and every table
+    entry a number; each unordered pair is listed at most once.
     """
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno, column=exc.colno) from None
     try:
-        names = list(doc["observables"])
-        n = int(doc["num_outcomes"])
-        pair_entries = list(doc["pairs"])
-        tolerance = float(doc.get("tolerance", DEFAULT_FEASIBILITY_TOL))
-    except (KeyError, TypeError, ValueError) as exc:
+        names, n, pair_entries = doc["observables"], doc["num_outcomes"], doc["pairs"]
+        tolerance = doc.get("tolerance", DEFAULT_FEASIBILITY_TOL)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field: {exc}") from None
-    if not all(isinstance(name, str) for name in names):
-        raise ParseError("observable names must be strings")
+    # JSON numbers decode to exactly int or float, and true/false to bool
+    if not (type(names) is list and all(type(name) is str for name in names)):
+        raise ParseError("observables must be a list of strings")
+    if type(n) is not int:
+        raise ParseError(f"num_outcomes must be an integer, got {n!r}")
+    if type(pair_entries) is not list:
+        raise ParseError("pairs must be a list")
+    if type(tolerance) not in (int, float):
+        raise ParseError(f"tolerance must be a number, got {tolerance!r}")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ParseError("observable names must be distinct")
     marginals = {}
     for entry in pair_entries:
         try:
-            a, b = entry["pair"]
-            table = np.asarray(entry["table"], dtype=np.float64)
+            pair, table = entry["pair"], np.asarray(entry["table"], dtype=object)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed pair entry: {exc}") from None
+        if type(pair) is not list or len(pair) != 2:
+            raise ParseError(f"pair must list two observables, got {pair!r}")
+        a, b = pair
         if a not in names or b not in names:
             raise ParseError(f"pair ({a!r}, {b!r}) references unknown observables")
         ia, ib = index[a], index[b]
         if ia == ib:
             raise ParseError(f"pair ({a!r}, {b!r}) must name two distinct observables")
+        if not all(type(v) in (int, float) for v in table.flat):
+            raise ParseError(f"pair ({a!r}, {b!r}): table entries must be numbers")
         key = (ia, ib) if ia < ib else (ib, ia)
+        if key in marginals:
+            raise ParseError(f"pair ({a!r}, {b!r}) is listed more than once")
         marginals[key] = table if ia < ib else table.T
     try:
         return JointFeasibilityProblem(
             num_observables=len(names),
             num_outcomes=n,
             pair_marginals=marginals,
-            tolerance=tolerance,
+            tolerance=float(tolerance),
             observable_ids=tuple(names),
         )
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError(str(exc)) from None

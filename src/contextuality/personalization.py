@@ -10,9 +10,9 @@ only applies to bistochastic triples:
 * ``pers_lp``: feasibility-violating fraction among all decided
   triples (the general test, no hypothesis needed).
 
-All sampling and evaluation is deterministic given the plan seed: every
-ordered pair's transition is estimated once, then each distinct triple
-is evaluated as a pure function of those estimates, in sampled order.
+All sampling and evaluation is deterministic given the plan seed: each
+distinct triple is evaluated once, in sampled order, from transitions
+that ``pair_transition`` estimates once per source and ordered pair.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from .accardi import AccardiVerdict, TripleParams, triple_transitions
+from .accardi import AccardiVerdict, TripleParams
 from .errors import (
     ContextualityError,
     ProblemTooLarge,
@@ -36,7 +36,7 @@ from .feasibility import (
     feasibility_from_dataset,
 )
 from .observables import ObservableSet
-from .transitions import DEFAULT_BISTOCHASTIC_TOL
+from .transitions import DEFAULT_BISTOCHASTIC_TOL, check_tolerance
 
 MAX_EXHAUSTIVE_TRIPLES = 10**5
 _WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -50,6 +50,7 @@ class SamplingPlan:
 
     ``num_triples=None`` means min(1000, C(T,3)).  Exhaustive mode visits
     all C(T,3) triples in lexicographic order and requires C(T,3) <= 1e5.
+    Tolerances are checked here, even for a run whose triples all skip.
     """
 
     num_triples: int | None = None
@@ -58,6 +59,11 @@ class SamplingPlan:
     bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL
     smoothing: float = 0.0
     feasibility_tol: float = DEFAULT_FEASIBILITY_TOL
+
+    def __post_init__(self):
+        check_tolerance("bistochastic_tol", self.bistochastic_tol)
+        check_tolerance("smoothing", self.smoothing)
+        check_tolerance("feasibility tolerance", self.feasibility_tol, positive=True)
 
 
 @dataclass(frozen=True)
@@ -192,19 +198,15 @@ def evaluate_triples(
     """Run the pipeline on each triple, in sampled order; a triple whose
     data fails becomes a skip report.
 
-    Each ordered pair the triples need is estimated once up front;
-    evaluation is then a pure function of (ids, those estimates, plan),
-    so repeated triples (with-replacement sampling) are computed once
-    and reused.
+    Evaluation is a pure function of (source, ids, plan), so repeated
+    triples (with-replacement sampling) are computed once and reused.
     """
     unique = list(dict.fromkeys(triples))
-    transitions = triple_transitions(source, unique, plan.smoothing, plan.bistochastic_tol)
     by_ids = {}
     for ids in unique:
         try:
             params, verdict, lp = feasibility_from_dataset(
-                source, ids, plan.smoothing, plan.bistochastic_tol, plan.feasibility_tol,
-                transitions,
+                source, ids, plan.smoothing, plan.bistochastic_tol, plan.feasibility_tol
             )
         except SolverFailure:
             raise

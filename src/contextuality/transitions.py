@@ -20,6 +20,12 @@ from .errors import EmptyPairData, PairMismatch, ZeroConditioningRow
 DEFAULT_BISTOCHASTIC_TOL = 0.05
 
 
+def check_tolerance(name: str, value: float, positive: bool = False) -> None:
+    """Raise ValueError unless ``value`` is finite and >= 0 (> 0 if ``positive``)."""
+    if not ((value > 0.0 if positive else value >= 0.0) and value < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """2x2 pair counts: counts[i][j] = number of trials with A=i and B=j."""
@@ -75,8 +81,7 @@ class TransitionMatrix:
     def __post_init__(self, bistochastic_tol):
         if self.pair[0] == self.pair[1]:
             raise ValueError("pair must name two distinct observables")
-        if not 0.0 <= bistochastic_tol < math.inf:
-            raise ValueError(f"bistochastic_tol must be finite and >= 0, got {bistochastic_tol}")
+        check_tolerance("bistochastic_tol", bistochastic_tol)
         entries = np.asarray(self.entries, dtype=np.float64)
         priors = np.asarray(self.priors, dtype=np.float64)
         if entries.shape != (2, 2) or priors.shape != (2,):
@@ -152,8 +157,7 @@ def estimate_transition(
         ZeroConditioningRow: a = 0 and some conditioning outcome never
             occurs, so the conditional is undefined.
     """
-    if not 0.0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
+    check_tolerance("smoothing", smoothing)
     table = counts.counts.astype(np.float64)
     rows = table.sum(axis=1)
     if smoothing == 0.0 and (rows == 0).any():
@@ -197,17 +201,28 @@ def pair_transition(
     """Transition matrix P(conditioned | conditioning) from any source.
 
     Exact models are evaluated analytically; empirical datasets are
-    counted and estimated with the given smoothing.
+    counted and estimated with the given smoothing.  The result is
+    memoized on ``source.pair_statistics`` per (pair, smoothing,
+    tolerance); a pair that fails is not memoized and raises again on
+    every call.
     """
     stats = source.pair_statistics
-    if not stats.exact:
-        return estimate_transition(
+    key = (conditioning, conditioned, smoothing, bistochastic_tol)
+    found = stats._transitions.get(key)
+    if found is not None:
+        return found
+    if stats.exact:
+        ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
+        if ia == ib:
+            raise ValueError("pair must name two distinct observables")
+        pair = (conditioning, conditioned)
+        found = transition_from_joint(pair, stats.table[ia, ib], bistochastic_tol)
+    else:
+        found = estimate_transition(
             count_pairs(source, conditioning, conditioned), smoothing, bistochastic_tol
         )
-    ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
-    if ia == ib:
-        raise ValueError("pair must name two distinct observables")
-    return transition_from_joint((conditioning, conditioned), stats.table[ia, ib], bistochastic_tol)
+    stats._transitions[key] = found
+    return found
 
 
 def bayes_consistency(

@@ -126,6 +126,16 @@ class TestNonsenseTolerances:
         assert code == 2, (out, err)
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("flag", ["--tol-lp", "--tol-b", "--smoothing"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_pers_exits_two_when_every_triple_skips(self, tmp_path, flag, value):
+        log = tmp_path / "pairs"  # no A-C pair, so the only triple skips
+        log.write_text("obs_a,val_a,obs_b,val_b\nA,0,B,1\nB,1,C,0\n")
+        code, out, err = run(["pers", "--input", str(log), "--input-format", "pairlog",
+                              flag, value])
+        assert code == 2, (out, err)
+        assert "must be finite" in err
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_lp_tolerance_exits_two(self, tmp_path, value):
         doc = {

@@ -177,6 +177,44 @@ class TestWitnessRecheck:
             decide_feasibility(problem)
 
 
+class TestSparseAssembly:
+    """Three pairs over T=19 give 12 x 2**19 > 5e6 constraint entries, so
+    ``decide_feasibility`` assembles its rows as a sparse matrix."""
+
+    T = 19
+
+    def solve_sparse(self, monkeypatch, tables):
+        assembled = []
+        original = feasibility.linear_feasibility
+
+        def spy(soft_rows, *args):
+            assembled.append(feasibility.sparse.issparse(soft_rows))
+            return original(soft_rows, *args)
+
+        monkeypatch.setattr(feasibility, "linear_feasibility", spy)
+        problem = JointFeasibilityProblem(self.T, 2, tables)
+        result = decide_feasibility(problem)
+        assert assembled == [True]
+        return problem, result
+
+    def test_embedded_trine_keeps_its_residual(self, monkeypatch):
+        trine = bistochastic_triple_problem(0.25, 0.25, 0.25).pair_marginals
+        _, result = self.solve_sparse(monkeypatch, trine)
+        assert not result.feasible
+        assert result.max_violation == pytest.approx(1.0 / 24.0, abs=1e-9)
+
+    def test_embedded_uniform_tables_are_feasible_with_a_witness(self, monkeypatch):
+        uniform = {pair: np.full((2, 2), 0.25) for pair in [(0, 1), (1, 2), (0, 2)]}
+        problem, result = self.solve_sparse(monkeypatch, uniform)
+        assert result.feasible
+        assert result.witness.shape == (2**self.T,)
+        assert result.witness.sum() == pytest.approx(1.0, abs=2 * problem.tolerance)
+        assert result.witness.min() >= -2 * problem.tolerance
+        for key, table in uniform.items():
+            attained = pair_marginal(result.witness, self.T, 2, key)
+            assert np.abs(attained - table).max() <= 2 * problem.tolerance
+
+
 class TestProperties:
     def test_witness_validity_on_random_feasible_problems(self):
         rng = np.random.default_rng(10)

@@ -33,6 +33,24 @@ MALFORMED_MARGINALS = [
                  id="list-observable"),
     pytest.param({"observables": ["A", "B"], "num_outcomes": 2,
                   "pairs": [{**_PAIR_AB, "pair": [["A"], "B"]}]}, id="list-in-pair"),
+    pytest.param({"observables": "AB", "num_outcomes": 2, "pairs": [_PAIR_AB]},
+                 id="string-observables"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2.7, "pairs": [_PAIR_AB]},
+                 id="float-num-outcomes"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": "2", "pairs": [_PAIR_AB]},
+                 id="string-num-outcomes"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2, "pairs": [_PAIR_AB],
+                  "tolerance": "1e-3"}, id="string-tolerance"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2, "pairs": [_PAIR_AB],
+                  "tolerance": True}, id="bool-tolerance"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2,
+                  "pairs": [{**_PAIR_AB, "table": [["0.5", "0"], ["0", "0.5"]]}]},
+                 id="string-table-entries"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2,
+                  "pairs": [{**_PAIR_AB, "pair": "AB"}]}, id="string-pair"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2,
+                  "pairs": [_PAIR_AB, {"pair": ["B", "A"], "table": [[0.0, 0.5], [0.5, 0.0]]}]},
+                 id="pair-listed-twice"),
 ]
 
 
