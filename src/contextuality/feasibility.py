@@ -13,10 +13,26 @@ The optimum is reported as ``max_violation``; the problem is feasible
 exactly when it falls below the problem tolerance.  Any witness is a
 genuine joint distribution certifying classicality; a strictly positive
 optimum certifies that no single sample space exists.
+
+Binary triples (three observables, two outcomes, all three pairs given)
+are decided without a solver.  Their constraint matrix M is fixed, so
+by LP duality the optimum is
+
+    max over dual vertices (lambda, w) of  lambda . b + w,
+
+where b holds the 12 target entries in key order (0,1), (0,2), (1,2) and
+the vertices are those of {||lambda||_1 <= 1, M^T lambda + w <= 0}.  The
+932 vertices are enumerated exactly by ``tools/gen_triple_duals.py`` and
+stored in ``triple_duals`` as one representative per relabeling orbit.
+An infeasible verdict carries the maximizing vertex as its certificate; a
+feasible one gets a closed-form witness, which is re-checked like a
+solver witness and handed to HiGHS if it fails.  Every other problem is
+solved by HiGHS.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +40,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from . import triple_duals
 from .accardi import AccardiVerdict, TripleParams, accardi_check, triple_params
 from .errors import InconsistentOrientations, ProblemTooLarge, SolverFailure
 from .datasets import frozen_array
@@ -34,6 +51,33 @@ DEFAULT_FEASIBILITY_TOL = 1e-8
 MAX_PRODUCT_OUTCOMES = 10**6
 _HIGHS_DEFAULT_PRIMAL_TOL = 1e-7  # HiGHS's primal feasibility tolerance
 _HIGHS_MIN_PRIMAL_TOL = 1e-10  # the smallest value HiGHS accepts
+_TRIPLE_KEYS = ((0, 1), (0, 2), (1, 2))
+
+
+def _expand_orbits(orbits) -> np.ndarray:
+    """Every image of the orbit representatives under the 48 relabelings of
+    a binary triple (observable orders times outcome flips), sorted."""
+    entries = [(key, i, j) for key in _TRIPLE_KEYS for i in (0, 1) for j in (0, 1)]
+    rows = np.array(orbits)
+    images = []
+    for order in itertools.permutations(range(3)):
+        for flips in itertools.product((0, 1), repeat=3):
+            target = []
+            for (a, b), i, j in entries:
+                na, nb, ni, nj = order[a], order[b], i ^ flips[a], j ^ flips[b]
+                if na > nb:
+                    na, nb, ni, nj = nb, na, nj, ni
+                target.append(entries.index(((na, nb), ni, nj)))
+            image = rows.copy()
+            image[:, target] = rows[:, :12]
+            images.append(image)
+    return np.unique(np.concatenate(images), axis=0)
+
+
+# Dual vertices (lambda_1..lambda_12, w) of the binary-triple LP, exact as
+# integers over triple_duals.SCALE.
+TRIPLE_DUAL_VERTICES = frozen_array(_expand_orbits(triple_duals.ORBITS), np.int64)
+_TRIPLE_DUALS = frozen_array(TRIPLE_DUAL_VERTICES / triple_duals.SCALE, np.float64)
 
 
 @dataclass(frozen=True)
@@ -88,11 +132,19 @@ class FeasibilityResult:
     canonical order (observable 0 most significant), present iff feasible.
     ``max_violation`` is the optimal residual: 0 (to solver precision)
     when feasible, strictly positive when not.
+
+    ``certificate`` is set on infeasible binary triples: the dual vertex
+    (lambda_1..lambda_12, w) that attains ``max_violation``.  It satisfies
+    sum(|lambda|) <= 1 and M^T lambda + w <= 0 for the triple's fixed
+    incidence matrix M, so lambda . b + w = ``max_violation`` bounds every
+    joint distribution's residual from below.  It is None otherwise,
+    including every verdict reached by HiGHS.
     """
 
     feasible: bool
     witness: np.ndarray | None
     max_violation: float
+    certificate: np.ndarray | None = None
 
 
 def linear_feasibility(
@@ -165,6 +217,21 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
         witness = np.full(size, 1.0 / size)
         return FeasibilityResult(feasible=True, witness=witness, max_violation=0.0)
 
+    if n == 2 and t == 3 and len(problem.pair_marginals) == 3:
+        targets = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in _TRIPLE_KEYS])
+        scores = _TRIPLE_DUALS[:, :12] @ targets + _TRIPLE_DUALS[:, 12]
+        best = int(np.argmax(scores))
+        violation = max(float(scores[best]), 0.0)
+        if violation > problem.tolerance:
+            return FeasibilityResult(
+                feasible=False, witness=None, max_violation=violation,
+                certificate=_TRIPLE_DUALS[best],
+            )
+        witness = _triple_witness(problem.pair_marginals)
+        if _witness_gap(witness, problem) <= 2 * problem.tolerance:
+            return FeasibilityResult(feasible=True, witness=witness, max_violation=violation)
+        # a near-boundary witness that misses: fall through to the solver
+
     # Row (a, b, i, j) selects the product outcomes with A_a = i and A_b = j.
     flat = np.arange(size).reshape((n,) * t)
     keys = sorted(problem.pair_marginals)
@@ -188,18 +255,53 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     if violation > problem.tolerance:
         return FeasibilityResult(feasible=False, witness=None, max_violation=violation)
 
-    # Independent recheck of the returned witness before certifying: it must
-    # be a probability vector (to 2 x tol) that reproduces every target.
-    actual = max(
-        float(np.abs(pair_marginal(x, t, n, key) - table).max())
-        for key, table in problem.pair_marginals.items()
-    )
-    actual = max(actual, abs(float(x.sum()) - 1.0), -float(x.min()))
+    # Independent recheck of the returned witness before certifying.
+    actual = _witness_gap(x, problem)
     if actual > 2 * problem.tolerance:
         raise SolverFailure(
             f"solver reported residual {violation:g} but witness violates targets by {actual:g}"
         )
     return FeasibilityResult(feasible=True, witness=x, max_violation=violation)
+
+
+def _witness_gap(witness: np.ndarray, problem: JointFeasibilityProblem) -> float:
+    """How far a witness is from a probability vector reproducing every
+    target: its worst marginal error, mass error or negative entry."""
+    t, n = problem.num_observables, problem.num_outcomes
+    gap = max(
+        float(np.abs(pair_marginal(witness, t, n, key) - table).max())
+        for key, table in problem.pair_marginals.items()
+    )
+    return max(gap, abs(float(witness.sum()) - 1.0), -float(witness.min()))
+
+
+def _triple_witness(tables: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """A joint distribution of three binary observables from its moments.
+
+    P(A_i = 1) is the mean of the two tables carrying observable i, the
+    pair moments are read from the tables, and the triple moment sits at
+    the midpoint of the interval that keeps all eight entries
+    non-negative.  Exact when the targets are marginals of some joint.
+    """
+    t01, t02, t12 = (tables[key] for key in _TRIPLE_KEYS)
+    p0 = (t01[1].sum() + t02[1].sum()) / 2
+    p1 = (t01[:, 1].sum() + t12[1].sum()) / 2
+    p2 = (t02[:, 1].sum() + t12[:, 1].sum()) / 2
+    p01, p02, p12 = t01[1, 1], t02[1, 1], t12[1, 1]
+    rest = 1 - p0 - p1 - p2 + p01 + p02 + p12  # P(0, 0, 0) + p012
+    low = max(0.0, p01 + p02 - p0, p01 + p12 - p1, p02 + p12 - p2)
+    high = min(p01, p02, p12, rest)
+    p012 = (low + high) / 2
+    return np.array([
+        rest - p012,  # (0, 0, 0)
+        p2 - p02 - p12 + p012,  # (0, 0, 1)
+        p1 - p01 - p12 + p012,  # (0, 1, 0)
+        p12 - p012,  # (0, 1, 1)
+        p0 - p01 - p02 + p012,  # (1, 0, 0)
+        p02 - p012,  # (1, 0, 1)
+        p01 - p012,  # (1, 1, 0)
+        p012,  # (1, 1, 1)
+    ])
 
 
 def build_problem(

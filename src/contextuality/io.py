@@ -24,16 +24,28 @@ from .feasibility import DEFAULT_FEASIBILITY_TOL, JointFeasibilityProblem
 from .hypergraph import ContextHypergraph
 from .observables import ObservableSet
 
+_LINE_BLOCK_CHARS = 1 << 16
+
 PAIRLOG_HEADER = ("obs_a", "val_a", "obs_b", "val_b")
 
 
 def _data_lines(text: str, allow_comments: bool = False):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if allow_comments and "#" in line:
-            line = line.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    """(line number, stripped line) for each non-blank line, numbered as by
+    ``text.splitlines()``.  The text is split a block at a time, each block
+    ending just after a newline, so a large file's lines are never all held
+    at once."""
+    first, start = 1, 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_BLOCK_CHARS) + 1 or len(text)
+        block = text[start:end].splitlines()
+        for lineno, raw in enumerate(block, start=first):
+            line = raw.strip()
+            if allow_comments and "#" in line:
+                line = line.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+        first += len(block)
+        start = end
 
 
 def _parse_bit(field: str, lineno: int, column: int) -> int:
@@ -89,8 +101,7 @@ def write_joint(dataset: JointRecordDataset, path) -> None:
 def read_pairlog(path) -> PairLogDataset:
     """Parse a pair-log file; observables are collected in order of first
     appearance."""
-    text = Path(path).read_text()
-    lines = _data_lines(text)
+    lines = _data_lines(Path(path).read_text())
     try:
         header_line, header = next(lines)
     except StopIteration:
@@ -120,7 +131,12 @@ def read_pairlog(path) -> PairLogDataset:
     if not index:
         raise ParseError("pair-log holds no entries")
     observables = ObservableSet.from_ids(index, source=str(path))
-    return PairLogDataset(observables, *(np.array(col, dtype=np.int64) for col in columns))
+    # Free each list once converted; the dataset widens the int32 copies.
+    arrays = []
+    for col in columns:
+        arrays.append(np.array(col, dtype=np.int32))
+        col.clear()
+    return PairLogDataset(observables, *arrays)
 
 
 def write_pairlog(dataset: PairLogDataset, path) -> None:

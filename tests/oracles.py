@@ -103,3 +103,31 @@ def oracle_decide(problem) -> bool:
     )
     feasible, _, _ = phase_one_feasible(rows, rhs)
     return feasible
+
+
+TRIPLE_KEYS = ((0, 1), (0, 2), (1, 2))
+
+
+def triple_rows(problem):
+    """Incidence matrix M (12 x 8) and targets b of a binary triple, rows
+    in key order (0,1), (0,2), (1,2), each table row-major."""
+    tables = {key: problem.pair_marginals[key] for key in TRIPLE_KEYS}
+    rows, rhs = pair_constraint_rows(3, 2, tables)
+    return rows[:12], rhs[:12]
+
+
+def check_triple_certificate(problem, result, atol=1e-12):
+    """Check that an infeasible binary-triple verdict proves its residual.
+
+    The certificate (lambda_1..lambda_12, w) must be dual feasible,
+    sum(|lambda|) <= 1 and M^T lambda + w <= 0, so that lambda . b + w is a
+    lower bound on max |M x - b| over every distribution x; and that bound
+    must equal ``max_violation``.
+    """
+    m, b = triple_rows(problem)
+    certificate = np.asarray(result.certificate, dtype=float)
+    assert certificate.shape == (13,)
+    lam, w = certificate[:12], certificate[12]
+    assert np.abs(lam).sum() <= 1.0 + atol
+    assert (m.T @ lam + w).max() <= atol
+    assert abs(lam @ b + w - result.max_violation) <= atol

@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     HeaderMismatch,
@@ -20,6 +23,7 @@ from contextuality.io import (
     write_joint,
     write_pairlog,
 )
+from contextuality import io as formats
 from contextuality.hypergraph import ContextHypergraph
 from contextuality.reports import analyze, write_report
 
@@ -134,6 +138,43 @@ class TestPairlogFormat:
             read_pairlog(path)
         assert excinfo.value.line == 2
         assert excinfo.value.column == 4
+
+
+def reference_data_lines(text, allow_comments=False):
+    """The whole-text ``splitlines`` reading that ``_data_lines`` must match."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if allow_comments and "#" in line:
+            line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+class TestDataLines:
+    """Lines are split a block at a time; numbering must not depend on
+    where the blocks end, whatever line breaks the text holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(alphabet="ab,# \t\n\r\x0b\x0c\x1c\x85\u2028", max_size=60),
+        block=st.sampled_from([1, 2, 3, 7, 1 << 16]),
+        allow_comments=st.booleans(),
+    )
+    def test_matches_whole_text_splitlines(self, text, block, allow_comments):
+        with mock.patch.object(formats, "_LINE_BLOCK_CHARS", block):
+            got = list(formats._data_lines(text, allow_comments))
+        assert got == list(reference_data_lines(text, allow_comments))
+
+    def test_error_line_number_past_many_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_LINE_BLOCK_CHARS", 16)
+        lines = ["obs_a,val_a,obs_b,val_b"] + ["A,0,B,1", "", "B,1,C,0"] * 40 + ["C,1,A,2"]
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonBinaryValue) as excinfo:
+            read_pairlog(path)
+        assert (excinfo.value.line, excinfo.value.column) == (len(lines), 4)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        assert len(read_pairlog(path).first_index) == 80
 
 
 class TestHypergraphFormat:
