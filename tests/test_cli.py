@@ -112,6 +112,17 @@ class TestPers:
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_flags_do_not_carry_over_to_the_next_call(self, trine_dir, tmp_path):
+        pairs = ["pers", "--input", str(trine_dir / "pairs"), "--input-format", "pairlog"]
+        code, _, err = run([*pairs, "--mode", "exhaustive", "--seed", "3", "--smoothing",
+                            "0.5", "--tol-lp", "1e-6", "--out", str(tmp_path / "r.json")])
+        assert code == 0, err
+        code, out, err = run(pairs)
+        assert code == 0, err
+        config = json.loads(out)["report"]["config"]
+        assert (config["mode"], config["seed"], config["smoothing"],
+                config["feasibility_tol"]) == ("without_replacement", 0, 0.0, 1e-8)
+
 
 class TestNonsenseTolerances:
     @pytest.mark.parametrize("command", ["pers", "triple"])
