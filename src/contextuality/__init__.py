@@ -66,7 +66,7 @@ from .hypergraph import (
     state_is_unique,
     validate,
 )
-from .observables import BinaryObservable, ObservableSet
+from .observables import ObservableSet
 from .personalization import (
     PersEstimate,
     SamplingPlan,
@@ -90,7 +90,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccardiVerdict",
     "AnalysisReport",
-    "BinaryObservable",
     "ClassicalModelSpec",
     "ClassicalSample",
     "ConsistencyReport",

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .transitions import DEFAULT_BISTOCHASTIC_TOL, TransitionMatrix, pair_transition
+from .transitions import TransitionMatrix, check_tolerance, pair_transition
 
+DEFAULT_BISTOCHASTIC_TOL = 0.05
 EQUALITY_TOL = 1e-9
 
 Verdict = Literal["classical", "contextual", "not_applicable"]
@@ -30,10 +31,8 @@ class TripleParams:
 
     Attributes:
         observables: the triple ids.
-        p, q, r: bistochastic parameters of P(A|B), P(B|C), P(C|A).  When a
-            matrix is not bistochastic within tolerance these hold the
-            symmetrized midpoint (M[0][0] + M[1][1]) / 2 and ``applicable``
-            is False.
+        p, q, r: symmetrized parameters (M[0][0] + M[1][1]) / 2 of P(A|B),
+            P(B|C), P(C|A): the bistochastic parameters when ``applicable``.
         applicable: all three matrices bistochastic within tolerance.
         deviations: bistochastic deviations of the three matrices, in the
             same cyclic order as (p, q, r).
@@ -68,10 +67,10 @@ class AccardiVerdict:
     slack: float
 
 
-def accardi_check(params: TripleParams, equality_tol: float = EQUALITY_TOL) -> AccardiVerdict:
+def accardi_check(params: TripleParams) -> AccardiVerdict:
     """Classify a parameter triple as classical or contextual.
 
-    Boundary cases (|slack| <= equality_tol) count as classical: the
+    Boundary cases (|slack| <= EQUALITY_TOL) count as classical: the
     invariants are non-strict inequalities.
     """
     p, q, r = params.p, params.q, params.r
@@ -80,7 +79,7 @@ def accardi_check(params: TripleParams, equality_tol: float = EQUALITY_TOL) -> A
     slack = min(r - lower, upper - r)
     if not params.applicable:
         verdict: Verdict = "not_applicable"
-    elif slack >= -equality_tol:
+    elif slack >= -EQUALITY_TOL:
         verdict = "classical"
     else:
         verdict = "contextual"
@@ -98,19 +97,22 @@ def triple_params(
     Returns the params together with the three matrices (P(A|B), P(B|C),
     P(C|A)) so callers can reuse them, e.g. as joint targets for the
     feasibility solver.  Each matrix comes from ``pair_transition``, which
-    memoizes it on the source.
+    memoizes it on the source.  The triple is applicable when every
+    matrix's bistochastic deviation is within ``bistochastic_tol``.
+
+    Raises:
+        ValueError: ``bistochastic_tol`` is negative or not finite.
     """
+    check_tolerance("bistochastic_tol", bistochastic_tol)
     if len(set(ids)) != 3:
         raise ValueError("triple must name three distinct observables")
     a, b, c = ids
-    matrices = tuple(
-        pair_transition(source, *pair, smoothing, bistochastic_tol)
-        for pair in ((b, a), (c, b), (a, c))
-    )
+    matrices = tuple(pair_transition(source, *pair, smoothing) for pair in ((b, a), (c, b), (a, c)))
+    deviations = tuple(m.bistochastic_deviation for m in matrices)
     params = TripleParams(
         tuple(ids),
         *(m.symmetrized_param for m in matrices),  # p, q, r
-        applicable=all(m.bistochastic_param is not None for m in matrices),
-        deviations=tuple(m.bistochastic_deviation for m in matrices),
+        applicable=all(d <= bistochastic_tol for d in deviations),
+        deviations=deviations,
     )
     return params, matrices

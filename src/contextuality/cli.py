@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .accardi import DEFAULT_BISTOCHASTIC_TOL
 from .datasets import same_outcome_probability
 from .errors import DataError, SolverFailure
 from .feasibility import DEFAULT_FEASIBILITY_TOL, decide_feasibility, feasibility_from_dataset
@@ -35,7 +36,6 @@ from .io import (
 )
 from .personalization import SamplingPlan
 from .reports import analyze, write_report
-from .transitions import DEFAULT_BISTOCHASTIC_TOL
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,18 +77,22 @@ def _build_parser() -> _Parser:
     _tolerance_flags(pers)
     pers.add_argument("--format", choices=("json", "csv"), default="json")
     pers.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
+    pers.set_defaults(run=_cmd_pers)
 
     triple = sub.add_parser("triple", help="analyze a single observable triple")
     _dataset_flags(triple)
     triple.add_argument("--ids", required=True, help="comma-separated triple, e.g. A,B,C")
     _tolerance_flags(triple)
+    triple.set_defaults(run=_cmd_triple)
 
     lp = sub.add_parser("lp", help="decide feasibility of explicit pair marginals")
     lp.add_argument("marginals", type=Path, help="JSON marginal-problem file")
+    lp.set_defaults(run=_cmd_lp)
 
     greechie = sub.add_parser("greechie", help="analyze a context hypergraph file")
     greechie.add_argument("hypergraph", type=Path)
     greechie.add_argument("--enumerate-limit", type=int, default=10000)
+    greechie.set_defaults(run=_cmd_greechie)
 
     gen = sub.add_parser("gen", help="generate ground-truth datasets")
     gen_sub = gen.add_subparsers(dest="generator", required=True, parser_class=_Parser)
@@ -101,6 +105,7 @@ def _build_parser() -> _Parser:
         "--table", type=Path, default=None, help="JSON array of 2**t probabilities"
     )
     classical.add_argument("--out", type=Path, required=True, help="output directory")
+    classical.set_defaults(run=_cmd_gen_classical)
 
     quantum = gen_sub.add_parser("quantum", help="pairwise qubit measurement logs")
     quantum.add_argument("--angles", required=True, help="comma-separated degrees")
@@ -110,6 +115,7 @@ def _build_parser() -> _Parser:
         "--pairs", default=None, help="pairs to log as i-j[,i-j...]; default all"
     )
     quantum.add_argument("--out", type=Path, required=True, help="output directory")
+    quantum.set_defaults(run=_cmd_gen_quantum)
     return parser
 
 
@@ -180,14 +186,18 @@ def _cmd_lp(args, out) -> int:
 
 
 def _cmd_greechie(args, out) -> int:
+    limit = args.enumerate_limit
+    if limit < 1:
+        raise _UsageError(f"--enumerate-limit must be at least 1, got {limit}")
     hypergraph = read_hypergraph(args.hypergraph)
     report = validate(hypergraph)
     for issue in report.issues():
         out.write(f"invalid: {issue}\n")
     state = find_state(hypergraph)
     out.write(f"states: {'exists' if state is not None else 'none'}\n")
-    states = enumerate_two_valued_states(hypergraph, limit=args.enumerate_limit)
-    out.write(f"two-valued states: {len(states)}\n")
+    # one state past the limit tells a capped count from an exact one
+    count = len(enumerate_two_valued_states(hypergraph, limit=limit + 1))
+    out.write(f"two-valued states: {f'at least {limit}' if count > limit else count}\n")
     out.write(f"connected: {'yes' if is_connected(hypergraph) else 'no'}\n")
     return EXIT_OK
 
@@ -266,26 +276,12 @@ def cli_main(argv=None, out=None, err=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-        if args.command == "pers":
-            return _cmd_pers(args, out)
-        if args.command == "triple":
-            return _cmd_triple(args, out)
-        if args.command == "lp":
-            return _cmd_lp(args, out)
-        if args.command == "greechie":
-            return _cmd_greechie(args, out)
-        if args.command == "gen":
-            if args.generator == "classical":
-                return _cmd_gen_classical(args, out)
-            return _cmd_gen_quantum(args, out)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args, out)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        err.write(f"data error: {exc}\n")
-        return EXIT_DATA
-    except (json.JSONDecodeError, ValueError) as exc:
+    # json.JSONDecodeError is a ValueError
+    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
         err.write(f"data error: {exc}\n")
         return EXIT_DATA
     except SolverFailure as exc:

@@ -41,11 +41,17 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import triple_duals
-from .accardi import AccardiVerdict, TripleParams, accardi_check, triple_params
+from .accardi import (
+    DEFAULT_BISTOCHASTIC_TOL,
+    AccardiVerdict,
+    TripleParams,
+    accardi_check,
+    triple_params,
+)
 from .errors import InconsistentOrientations, ProblemTooLarge, SolverFailure
 from .datasets import frozen_array
 from .observables import ObservableSet
-from .transitions import DEFAULT_BISTOCHASTIC_TOL, TransitionMatrix, check_tolerance
+from .transitions import TransitionMatrix, check_tolerance
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 MAX_PRODUCT_OUTCOMES = 10**6
@@ -92,14 +98,12 @@ class JointFeasibilityProblem:
             present are unconstrained (partial marginal problems are
             allowed: pair logs may simply lack some pairs).
         tolerance: feasibility slack bound, finite and > 0.
-        observable_ids: optional display names, index-aligned.
     """
 
     num_observables: int
     num_outcomes: int
     pair_marginals: dict[tuple[int, int], np.ndarray]
     tolerance: float = DEFAULT_FEASIBILITY_TOL
-    observable_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         t, n = self.num_observables, self.num_outcomes
@@ -120,8 +124,6 @@ class JointFeasibilityProblem:
                 raise ValueError(f"pair {key}: entries must sum to 1")
             tables[key] = table
         object.__setattr__(self, "pair_marginals", tables)
-        if self.observable_ids is not None and len(self.observable_ids) != t:
-            raise ValueError("observable_ids must match num_observables")
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,30 +150,29 @@ class FeasibilityResult:
 
 
 def linear_feasibility(
-    soft_rows: np.ndarray, soft_rhs: np.ndarray, eq_rows: np.ndarray | None = None,
+    soft_rows: np.ndarray | sparse.sparray, soft_rhs: np.ndarray, eq_rows: np.ndarray | None = None,
     eq_rhs: np.ndarray | None = None, primal_tol: float = _HIGHS_DEFAULT_PRIMAL_TOL,
 ) -> tuple[float, np.ndarray]:
     """Minimize the largest deviation of soft equality constraints.
 
     Solves min t over x >= 0, t >= 0 with |soft_rows @ x - soft_rhs| <= t
-    and eq_rows @ x = eq_rhs held exactly.  Returns (optimal t, x); the
-    solver may violate any constraint of x by up to ``primal_tol``.
+    and eq_rows @ x = eq_rhs held exactly.  ``soft_rows`` may be a dense
+    array or a scipy sparse matrix; either way the solver receives one
+    sparse constraint matrix.  Returns (optimal t, x); the solver may
+    violate any constraint of x by up to ``primal_tol``.
 
     Raises:
         SolverFailure: numerical breakdown; this program is feasible and
             bounded by construction, so any solver failure is numerical.
     """
     soft_rhs = np.asarray(soft_rhs, dtype=np.float64)
-    num_rows, num_vars = soft_rows.shape
-    if sparse.issparse(soft_rows):
-        ones = sparse.csr_matrix(np.ones((num_rows, 1)))
-        a_ub = sparse.vstack(
-            [sparse.hstack([soft_rows, -ones]), sparse.hstack([-soft_rows, -ones])]
-        ).tocsr()
-    else:
-        soft_rows = np.asarray(soft_rows, dtype=np.float64)
-        ones = np.ones((num_rows, 1))
-        a_ub = np.block([[soft_rows, -ones], [-soft_rows, -ones]])
+    soft = sparse.coo_array(soft_rows, dtype=np.float64)
+    num_rows, num_vars = soft.shape
+    # rows [soft_rows, -1] then [-soft_rows, -1]; the last column is t
+    rows = np.concatenate([soft.row, soft.row + num_rows, np.arange(2 * num_rows)])
+    cols = np.concatenate([soft.col, soft.col, np.full(2 * num_rows, num_vars)])
+    vals = np.concatenate([soft.data, -soft.data, np.full(2 * num_rows, -1.0)])
+    a_ub = sparse.csr_array((vals, (rows, cols)), shape=(2 * num_rows, num_vars + 1))
     b_ub = np.concatenate([soft_rhs, -soft_rhs])
     a_eq = b_eq = None
     if eq_rows is not None:
@@ -238,14 +239,10 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     columns = np.concatenate([np.moveaxis(flat, key, (0, 1)).reshape(n * n, -1) for key in keys])
     soft_rhs = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
     num_rows, per_row = columns.shape
-    if num_rows * size > 5_000_000:
-        indptr = np.arange(num_rows + 1) * per_row
-        soft_rows = sparse.csr_matrix(
-            (np.ones(columns.size), columns.ravel(), indptr), shape=(num_rows, size)
-        )
-    else:
-        soft_rows = np.zeros((num_rows, size))
-        soft_rows[np.arange(num_rows)[:, None], columns] = 1.0
+    indptr = np.arange(num_rows + 1) * per_row
+    soft_rows = sparse.csr_array(
+        (np.ones(columns.size), columns.ravel(), indptr), shape=(num_rows, size)
+    )
     mass_row = np.ones((1, size))
 
     # HiGHS may bend a constraint by its own tolerance; keep that well
@@ -341,7 +338,6 @@ def build_problem(
         num_outcomes=2,
         pair_marginals=targets,
         tolerance=tolerance,
-        observable_ids=observables.ids(),
     )
 
 
@@ -363,7 +359,6 @@ def bistochastic_triple_problem(
         num_outcomes=2,
         pair_marginals={(0, 1): table(p), (1, 2): table(q), (0, 2): table(r)},
         tolerance=tolerance,
-        observable_ids=("A", "B", "C"),
     )
 
 

@@ -240,7 +240,6 @@ def read_marginals(path) -> JointFeasibilityProblem:
             num_outcomes=n,
             pair_marginals=marginals,
             tolerance=float(tolerance),
-            observable_ids=tuple(names),
         )
     except (OverflowError, ValueError) as exc:
         raise ParseError(str(exc)) from None

@@ -1,4 +1,4 @@
-"""Binary observables and ordered observable sets."""
+"""Ordered sets of binary observables, named by id."""
 
 from __future__ import annotations
 
@@ -8,33 +8,17 @@ from .errors import UnknownObservable
 
 
 @dataclass(frozen=True)
-class BinaryObservable:
-    """A named two-valued property of records (a yes/no query).
-
-    Outcomes are indexed 0 and 1; ``value_labels`` only affects display.
-    """
-
-    id: str
-    value_labels: tuple[str, str] = ("0", "1")
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("observable id must be non-empty")
-        if len(self.value_labels) != 2 or self.value_labels[0] == self.value_labels[1]:
-            raise ValueError(f"observable {self.id!r} needs two distinct value labels")
-
-
-@dataclass(frozen=True)
 class ObservableSet:
     """An ordered collection of distinct binary observables.
 
     Attributes:
-        observables: the observables, in a fixed order that defines their
-            integer indices everywhere (datasets, product sample spaces).
+        observables: the non-empty observable ids, in a fixed order that
+            defines their integer indices everywhere (datasets, product
+            sample spaces).
         source: provenance tag, e.g. a dataset path or generator descriptor.
     """
 
-    observables: tuple[BinaryObservable, ...]
+    observables: tuple[str, ...]
     source: str = ""
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -43,20 +27,22 @@ class ObservableSet:
             raise ValueError("an ObservableSet needs at least one observable")
         index = {}
         for i, obs in enumerate(self.observables):
-            if obs.id in index:
-                raise ValueError(f"duplicate observable id {obs.id!r}")
-            index[obs.id] = i
+            if not obs:
+                raise ValueError("observable id must be non-empty")
+            if obs in index:
+                raise ValueError(f"duplicate observable id {obs!r}")
+            index[obs] = i
         object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_ids(cls, ids, source: str = "") -> ObservableSet:
-        return cls(tuple(BinaryObservable(i) for i in ids), source=source)
+        return cls(tuple(ids), source=source)
 
     def __len__(self) -> int:
         return len(self.observables)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(obs.id for obs in self.observables)
+        return self.observables
 
     def __contains__(self, observable_id: str) -> bool:
         return observable_id in self._index

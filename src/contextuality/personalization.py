@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Literal
 
-from .accardi import AccardiVerdict, TripleParams
+from .accardi import DEFAULT_BISTOCHASTIC_TOL, AccardiVerdict, TripleParams
 from .errors import (
     ContextualityError,
     ProblemTooLarge,
@@ -36,7 +36,7 @@ from .feasibility import (
     feasibility_from_dataset,
 )
 from .observables import ObservableSet
-from .transitions import DEFAULT_BISTOCHASTIC_TOL, check_tolerance
+from .transitions import check_tolerance
 
 MAX_EXHAUSTIVE_TRIPLES = 10**5
 _WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile

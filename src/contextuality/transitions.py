@@ -2,22 +2,20 @@
 
 A transition matrix between two binary observables is row stochastic in
 general; the classicality test for triples assumes the bistochastic
-one-parameter form.  Estimation therefore records how far each matrix is
-from bistochastic (``bistochastic_deviation``) and exposes the single
-parameter only when the deviation is within tolerance.
+one-parameter form.  Each matrix reports how far it is from bistochastic
+(``bistochastic_deviation``); the triple test in ``accardi`` decides
+whether that is within tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import frozen_array
 from .errors import EmptyPairData, PairMismatch, ZeroConditioningRow
-
-DEFAULT_BISTOCHASTIC_TOL = 0.05
 
 
 def check_tolerance(name: str, value: float, positive: bool = False) -> None:
@@ -61,27 +59,16 @@ class TransitionMatrix:
         joint: 2x2 table priors[i] * entries[i][j] = P(A=i and B=j).
             Materialized so that downstream consistency checks and joint
             targets use one rounding of the underlying ratios.
-        bistochastic_tol: init-only; the tolerance for the bistochastic
-            hypothesis, finite and >= 0 (the default tolerance when not
-            given).
-        bistochastic_param: the single parameter (entries[0][0] +
-            entries[1][1]) / 2, present only when the matrix is
-            bistochastic within ``bistochastic_tol``.
-        bistochastic_deviation: |entries[0][0] - entries[1][1]|.
     """
 
     pair: tuple[str, str]
     entries: np.ndarray
     priors: np.ndarray
     joint: np.ndarray = None  # type: ignore[assignment]
-    bistochastic_tol: InitVar[float] = DEFAULT_BISTOCHASTIC_TOL
-    bistochastic_param: float | None = field(init=False)
-    bistochastic_deviation: float = field(init=False)
 
-    def __post_init__(self, bistochastic_tol):
+    def __post_init__(self):
         if self.pair[0] == self.pair[1]:
             raise ValueError("pair must name two distinct observables")
-        check_tolerance("bistochastic_tol", bistochastic_tol)
         entries = np.asarray(self.entries, dtype=np.float64)
         priors = np.asarray(self.priors, dtype=np.float64)
         if entries.shape != (2, 2) or priors.shape != (2,):
@@ -96,15 +83,16 @@ class TransitionMatrix:
         joint = priors[:, None] * entries if joint is None else np.asarray(joint, np.float64)
         for name, arr in (("entries", entries), ("priors", priors), ("joint", joint)):
             object.__setattr__(self, name, frozen_array(arr, np.float64))
-        deviation = float(abs(entries[0, 0] - entries[1, 1]))
-        param = self.symmetrized_param if deviation <= bistochastic_tol else None
-        object.__setattr__(self, "bistochastic_deviation", deviation)
-        object.__setattr__(self, "bistochastic_param", param)
 
     @property
     def symmetrized_param(self) -> float:
-        """(entries[0][0] + entries[1][1]) / 2, regardless of applicability."""
+        """(entries[0][0] + entries[1][1]) / 2, the bistochastic parameter."""
         return float((self.entries[0, 0] + self.entries[1, 1]) / 2.0)
+
+    @property
+    def bistochastic_deviation(self) -> float:
+        """|entries[0][0] - entries[1][1]|: 0 iff the matrix is bistochastic."""
+        return float(abs(self.entries[0, 0] - self.entries[1, 1]))
 
 
 @dataclass(frozen=True)
@@ -140,11 +128,7 @@ def count_pairs(dataset, a: str, b: str) -> CountTable:
     return CountTable((a, b), counts)
 
 
-def estimate_transition(
-    counts: CountTable,
-    smoothing: float = 0.0,
-    bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
-) -> TransitionMatrix:
+def estimate_transition(counts: CountTable, smoothing: float = 0.0) -> TransitionMatrix:
     """Estimate conditionals and priors from a pair count table.
 
     With additive smoothing ``smoothing`` = a:
@@ -171,14 +155,10 @@ def estimate_transition(
     entries = (table + smoothing) / denom_rows[:, None]
     priors = denom_rows / denom_total
     joint = (table + smoothing) / denom_total
-    return TransitionMatrix(counts.pair, entries, priors, joint, bistochastic_tol)
+    return TransitionMatrix(counts.pair, entries, priors, joint)
 
 
-def transition_from_joint(
-    pair: tuple[str, str],
-    joint: np.ndarray,
-    bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
-) -> TransitionMatrix:
+def transition_from_joint(pair: tuple[str, str], joint: np.ndarray) -> TransitionMatrix:
     """Exact transition matrix from an explicit 2x2 pair joint table."""
     joint = np.asarray(joint, dtype=np.float64)
     rows = joint.sum(axis=1)
@@ -188,26 +168,21 @@ def transition_from_joint(
             f"outcome {i} of {pair[0]!r} has zero probability; conditionals undefined"
         )
     entries = joint / rows[:, None]
-    return TransitionMatrix(pair, entries, rows, joint, bistochastic_tol)
+    return TransitionMatrix(pair, entries, rows, joint)
 
 
 def pair_transition(
-    source,
-    conditioning: str,
-    conditioned: str,
-    smoothing: float = 0.0,
-    bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
+    source, conditioning: str, conditioned: str, smoothing: float = 0.0
 ) -> TransitionMatrix:
     """Transition matrix P(conditioned | conditioning) from any source.
 
     Exact models are evaluated analytically; empirical datasets are
     counted and estimated with the given smoothing.  The result is
-    memoized on ``source.pair_statistics`` per (pair, smoothing,
-    tolerance); a pair that fails is not memoized and raises again on
-    every call.
+    memoized on ``source.pair_statistics`` per (pair, smoothing); a pair
+    that fails is not memoized and raises again on every call.
     """
     stats = source.pair_statistics
-    key = (conditioning, conditioned, smoothing, bistochastic_tol)
+    key = (conditioning, conditioned, smoothing)
     found = stats._transitions.get(key)
     if found is not None:
         return found
@@ -216,11 +191,9 @@ def pair_transition(
         if ia == ib:
             raise ValueError("pair must name two distinct observables")
         pair = (conditioning, conditioned)
-        found = transition_from_joint(pair, stats.table[ia, ib], bistochastic_tol)
+        found = transition_from_joint(pair, stats.table[ia, ib])
     else:
-        found = estimate_transition(
-            count_pairs(source, conditioning, conditioned), smoothing, bistochastic_tol
-        )
+        found = estimate_transition(count_pairs(source, conditioning, conditioned), smoothing)
     stats._transitions[key] = found
     return found
 

@@ -261,6 +261,25 @@ class TestGreechie:
         assert code == 0
         assert "two-valued states: 2" in out
 
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    def test_enumerate_limit_below_one_is_usage_error(self, tmp_path, limit):
+        path = tmp_path / "pair.gh"
+        path.write_text("atom a\natom b\ncontext a b\n")
+        code, out, err = run(["greechie", str(path), "--enumerate-limit", limit])
+        assert code == 1, (out, err)
+        assert out == ""
+        assert "--enumerate-limit must be at least 1" in err
+
+    def test_capped_count_is_a_lower_bound(self, tmp_path):
+        path = tmp_path / "pair.gh"  # two two-valued states
+        path.write_text("atom a\natom b\ncontext a b\n")
+        code, out, _ = run(["greechie", str(path), "--enumerate-limit", "1"])
+        assert code == 0
+        assert "two-valued states: at least 1\n" in out
+        code, out, _ = run(["greechie", str(path), "--enumerate-limit", "2"])
+        assert code == 0
+        assert "two-valued states: 2\n" in out
+
     def test_five_cycle(self, tmp_path):
         path = tmp_path / "cycle.gh"
         lines = [f"atom a{i}" for i in range(1, 6)]

@@ -18,6 +18,7 @@ from contextuality import (
     SamplingPlan,
     analyze,
     count_pairs,
+    estimate_pers,
     feasibility_from_dataset,
     same_outcome_probability,
 )
@@ -207,6 +208,18 @@ class TestPipelineReadsEachPairOnce:
                   for pair in ((b, a), (c, b), (a, c))}
         assert report.pers.decided == 20
         assert builds == [sample.dataset]
+        assert sorted(estimated) == sorted(needed)
+
+    def test_a_second_bistochastic_tolerance_estimates_nothing_again(self, monkeypatch):
+        estimated = self.spy_estimates(monkeypatch)
+        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 30.0, 75.0, 140.0, 200.0),
+                                            shots=300, seed=4))
+        observables = sample.dataset.observables
+        for tol in (0.01, 0.2):
+            estimate_pers(sample.dataset, observables,
+                          SamplingPlan(mode="exhaustive", bistochastic_tol=tol))
+        needed = {pair for a, b, c in sample_triples(observables, SamplingPlan(mode="exhaustive"))
+                  for pair in ((b, a), (c, b), (a, c))}
         assert sorted(estimated) == sorted(needed)
 
     def test_joint_records_with_replacement(self, monkeypatch):

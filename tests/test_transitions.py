@@ -16,14 +16,25 @@ from contextuality import (
     bayes_consistency,
     count_pairs,
     estimate_transition,
+    feasibility_from_dataset,
     pair_transition,
     same_outcome_probability,
+    triple_params,
 )
 from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 
 
 def joint(records, names=("A", "B")):
     return JointRecordDataset(ObservableSet.from_ids(names), np.array(records, dtype=np.uint8))
+
+
+def one_deviating_pair():
+    """Records over (A, B, C) whose P(A|B) has entries [[0.8, 0.2], [0.3, 0.7]]
+    (bistochastic deviation 0.1, parameter 0.75) and whose P(B|C) and P(C|A)
+    are exactly bistochastic: C is a fair coin independent of (A, B)."""
+    counts = {(0, 0): 8, (0, 1): 2, (1, 0): 3, (1, 1): 7}  # (B, A) -> records
+    rows = [[a, b, c] for (b, a), n in counts.items() for c in (0, 1) for _ in range(n)]
+    return joint(rows, names=("A", "B", "C"))
 
 
 class TestCountPairs:
@@ -73,13 +84,14 @@ class TestEstimateTransition:
     def test_balanced_counts(self):
         t = estimate_transition(CountTable(("A", "B"), [[1, 1], [1, 1]]))
         assert t.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]]
-        assert t.bistochastic_param == 0.5
+        assert t.symmetrized_param == 0.5
         assert t.bistochastic_deviation == 0.0
 
     def test_diagonal_counts_give_identity(self):
         t = estimate_transition(CountTable(("A", "B"), [[7, 0], [0, 3]]))
         assert t.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert t.bistochastic_param == 1.0
+        assert t.symmetrized_param == 1.0
+        assert t.bistochastic_deviation == 0.0
         assert t.priors.tolist() == [0.7, 0.3]
 
     def test_trine_pair_close_to_born_value(self):
@@ -258,21 +270,22 @@ class TestTransitionMatrixInvariants:
             )
 
     def test_bistochastic_tolerance_decides_the_parameter(self):
-        entries = np.array([[0.8, 0.2], [0.3, 0.7]])  # deviation 0.1
-        default = TransitionMatrix(pair=("A", "B"), entries=entries, priors=[0.5, 0.5])
-        assert default.bistochastic_deviation == pytest.approx(0.1)
-        assert default.bistochastic_param is None  # beyond the default 0.05
-        loose = TransitionMatrix(("A", "B"), entries, [0.5, 0.5], bistochastic_tol=0.2)
-        assert loose.bistochastic_param == pytest.approx(0.75)
-        assert estimate_transition(CountTable(("A", "B"), [[8, 2], [3, 7]]), bistochastic_tol=0.2
-                                   ).bistochastic_param == loose.bistochastic_param
+        # the rule lives in the triple test: a matrix only reports its deviation
+        source = one_deviating_pair()
+        default, _ = triple_params(source, ("A", "B", "C"))
+        assert default.deviations == pytest.approx((0.1, 0.0, 0.0))
+        assert not default.applicable  # beyond the default 0.05
+        loose, _ = triple_params(source, ("A", "B", "C"), bistochastic_tol=0.2)
+        assert loose.applicable
+        assert loose.p == default.p == pytest.approx(0.75)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_nonsense_bistochastic_tol_rejected(self, tol):
+        source = one_deviating_pair()
         with pytest.raises(ValueError, match="bistochastic_tol must be finite and >= 0"):
-            TransitionMatrix(("A", "B"), np.eye(2), [0.5, 0.5], bistochastic_tol=tol)
+            triple_params(source, ("A", "B", "C"), bistochastic_tol=tol)
         with pytest.raises(ValueError, match="bistochastic_tol must be finite and >= 0"):
-            estimate_transition(CountTable(("A", "B"), [[8, 2], [3, 7]]), bistochastic_tol=tol)
+            feasibility_from_dataset(source, ("A", "B", "C"), bistochastic_tol=tol)
 
     def test_joint_defaults_to_prior_times_entries(self):
         t = TransitionMatrix(
