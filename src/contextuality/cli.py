@@ -150,7 +150,7 @@ def _cmd_pers(args, out) -> int:
         smoothing=args.smoothing,
         feasibility_tol=args.tol_lp,
     )
-    report = analyze(dataset, dataset.observables, plan)
+    report = analyze(dataset, plan)
     text = write_report(report, format=args.format)
     if args.out is None:
         out.write(text)

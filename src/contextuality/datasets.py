@@ -159,14 +159,6 @@ class PairLogDataset:
     def __len__(self) -> int:
         return len(self.first_index)
 
-    def entries(self):
-        """Yield entries as (obs_a_id, val_a, obs_b_id, val_b)."""
-        ids = self.observables.ids()
-        for fi, fv, si, sv in zip(
-            self.first_index, self.first_value, self.second_index, self.second_value
-        ):
-            yield ids[fi], int(fv), ids[si], int(sv)
-
     @cached_property
     def pair_statistics(self) -> PairStatistics:
         """Pair counts in one ``bincount`` pass; entries logged in (b, a)

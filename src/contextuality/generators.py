@@ -144,24 +144,18 @@ def gen_quantum(spec: QubitModelSpec) -> QuantumSample:
         (f"a{i}" for i in range(len(spec.angles_deg))),
         source=f"quantum(seed={spec.seed}, angles={list(spec.angles_deg)})",
     )
-    first_idx, first_val, second_idx, second_val = [], [], [], []
-    for pair_number, (i, j) in enumerate(spec.logged_pairs()):
+    pairs = spec.logged_pairs()
+    values = np.empty((2, len(pairs), spec.shots), dtype=np.int64)  # first, second
+    for pair_number, (i, j) in enumerate(pairs):
         p_same = same_outcome_probability(spec.angles_deg[i], spec.angles_deg[j])
         rng = _rng(spec.seed, pair_number)
         a = rng.integers(0, 2, size=spec.shots)
         agree = rng.random(spec.shots) < p_same
-        b = np.where(agree, a, 1 - a)
-        first_idx.append(np.full(spec.shots, i, dtype=np.int64))
-        first_val.append(a)
-        second_idx.append(np.full(spec.shots, j, dtype=np.int64))
-        second_val.append(b)
-    empty = np.zeros(0, dtype=np.int64)
+        values[:, pair_number] = a, np.where(agree, a, 1 - a)
+    index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    first_idx, second_idx = np.repeat(index, spec.shots, axis=0).T
     dataset = PairLogDataset(
-        observables,
-        np.concatenate(first_idx) if first_idx else empty,
-        np.concatenate(first_val) if first_val else empty,
-        np.concatenate(second_idx) if second_idx else empty,
-        np.concatenate(second_val) if second_val else empty,
+        observables, first_idx, values[0].ravel(), second_idx, values[1].ravel()
     )
     return QuantumSample(
         dataset=dataset, exact=ExactQuantumModel(observables, spec.angles_deg)

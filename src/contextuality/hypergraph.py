@@ -73,13 +73,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.uncovered_atoms
-            or self.subset_contexts
-            or self.duplicate_atoms
-            or self.duplicate_contexts
-            or self.undersized_contexts
-        )
+        return not self.issues()
 
     def issues(self) -> list[str]:
         out = []
@@ -195,20 +189,23 @@ def find_state(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> State |
 
 
 def state_is_unique(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> bool:
-    """Heuristic uniqueness probe: re-solve with two opposed objectives.
+    """True when exactly one state exists, up to ``tol``: each atom's least
+    and greatest value over all states agree within ``tol`` (two solves
+    per atom, stopping at the first atom that can vary).
 
-    Returns True when both optima coincide entrywise within tolerance
-    ("unique up to tolerance").  Requires that a state exists.
+    Raises:
+        ValueError: no state exists, so uniqueness is undefined.
     """
     rows, _ = _context_matrix(hypergraph)
-    cost = np.arange(1.0, len(hypergraph.atoms) + 1.0)
-    witnesses = []
-    for sign in (1.0, -1.0):
-        result = _solve_with_objective(rows, np.ones(rows.shape[0]), sign * cost)
-        if result is None:
+    for k in range(rows.shape[1]):
+        cost = np.zeros(rows.shape[1])
+        cost[k] = 1.0
+        low, high = (_solve_with_objective(rows, np.ones(len(rows)), s * cost) for s in (1, -1))
+        if low is None:
             raise ValueError("no state exists; uniqueness is undefined")
-        witnesses.append(result)
-    return bool(np.abs(witnesses[0] - witnesses[1]).max() <= tol)
+        if high[k] - low[k] > tol:
+            return False
+    return True
 
 
 def _solve_with_objective(rows, rhs, cost) -> np.ndarray | None:
@@ -238,8 +235,12 @@ def enumerate_two_valued_states(
     meaningful primarily for hypergraphs that validate.
 
     Raises:
+        ValueError: ``limit`` is below 1, which could only return the
+            empty list that certifies an obstruction.
         ProblemTooLarge: more than 64 atoms.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     atoms = hypergraph.atoms
     if len(atoms) > MAX_ENUMERATION_ATOMS:
         raise ProblemTooLarge(f"{len(atoms)} atoms exceed {MAX_ENUMERATION_ATOMS}")

@@ -25,6 +25,7 @@ from .hypergraph import ContextHypergraph
 from .observables import ObservableSet
 
 _LINE_BLOCK_CHARS = 1 << 16
+_WRITE_BLOCK_ROWS = 1 << 14  # rows formatted at a time, so no file is held whole as text
 
 PAIRLOG_HEADER = ("obs_a", "val_a", "obs_b", "val_b")
 
@@ -92,10 +93,11 @@ def read_joint(path) -> JointRecordDataset:
 
 
 def write_joint(dataset: JointRecordDataset, path) -> None:
-    lines = [",".join(dataset.observables.ids())]
-    for record in dataset.records:
-        lines.append(",".join(str(int(v)) for v in record))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as out:
+        out.write(",".join(dataset.observables.ids()) + "\n")
+        for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
+            block = dataset.records[start:start + _WRITE_BLOCK_ROWS].tolist()
+            out.write("".join(",".join(map(str, record)) + "\n" for record in block))
 
 
 def read_pairlog(path) -> PairLogDataset:
@@ -140,10 +142,13 @@ def read_pairlog(path) -> PairLogDataset:
 
 
 def write_pairlog(dataset: PairLogDataset, path) -> None:
-    lines = [",".join(PAIRLOG_HEADER)]
-    for obs_a, val_a, obs_b, val_b in dataset.entries():
-        lines.append(f"{obs_a},{val_a},{obs_b},{val_b}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    ids = dataset.observables.ids()
+    columns = (dataset.first_index, dataset.first_value, dataset.second_index, dataset.second_value)
+    with open(path, "w") as out:
+        out.write(",".join(PAIRLOG_HEADER) + "\n")
+        for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
+            rows = zip(*(column[start:start + _WRITE_BLOCK_ROWS].tolist() for column in columns))
+            out.write("".join(f"{ids[a]},{va},{ids[b]},{vb}\n" for a, va, b, vb in rows))
 
 
 def read_hypergraph(path) -> ContextHypergraph:

@@ -20,16 +20,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Literal, get_args
 
 from .accardi import DEFAULT_BISTOCHASTIC_TOL, AccardiVerdict, TripleParams
-from .errors import (
-    ContextualityError,
-    ProblemTooLarge,
-    SampleExceedsPopulation,
-    SolverFailure,
-    TooFewObservables,
-)
+from .errors import DataError, ProblemTooLarge, SampleExceedsPopulation, TooFewObservables
 from .feasibility import (
     DEFAULT_FEASIBILITY_TOL,
     FeasibilityResult,
@@ -49,8 +43,9 @@ class SamplingPlan:
     """How to pick triples and which tolerances to forward.
 
     ``num_triples=None`` means min(1000, C(T,3)).  Exhaustive mode visits
-    all C(T,3) triples in lexicographic order and requires C(T,3) <= 1e5.
-    Tolerances are checked here, even for a run whose triples all skip.
+    all C(T,3) triples in lexicographic order, takes no ``num_triples``,
+    and requires C(T,3) <= 1e5.  Every setting is checked here, even for
+    a run whose triples all skip.
     """
 
     num_triples: int | None = None
@@ -61,6 +56,13 @@ class SamplingPlan:
     feasibility_tol: float = DEFAULT_FEASIBILITY_TOL
 
     def __post_init__(self):
+        if self.mode not in get_args(SamplingMode):
+            raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if self.num_triples is not None:
+            if self.mode == "exhaustive":
+                raise ValueError("exhaustive mode visits every triple; num_triples must be unset")
+            if self.num_triples < 0:
+                raise ValueError("num_triples must be non-negative")
         check_tolerance("bistochastic_tol", self.bistochastic_tol)
         check_tolerance("smoothing", self.smoothing)
         check_tolerance("feasibility tolerance", self.feasibility_tol, positive=True)
@@ -99,7 +101,6 @@ class PersEstimate:
     applicable: int
     violations: tuple[int, int]
     skipped: int
-    seed: int
     ci95_accardi: tuple[float, float]
     ci95_lp: tuple[float, float]
 
@@ -122,10 +123,6 @@ def wilson_interval(successes: int, total: int, z: float = _WILSON_Z95) -> tuple
     low = min(max(0.0, center - half), phat)
     high = max(min(1.0, center + half), phat)
     return (low, high)
-
-
-def _num_triples(t: int) -> int:
-    return t * (t - 1) * (t - 2) // 6
 
 
 def _unrank_triple(rank: int, t: int) -> tuple[int, int, int]:
@@ -163,7 +160,7 @@ def sample_triples(
     if t < 3:
         raise TooFewObservables(f"need at least 3 observables, have {t}")
     ids = observables.ids()
-    population = _num_triples(t)
+    population = math.comb(t, 3)
     if plan.mode == "exhaustive":
         if population > MAX_EXHAUSTIVE_TRIPLES:
             raise ProblemTooLarge(
@@ -172,19 +169,15 @@ def sample_triples(
         ranks = range(population)
     else:
         requested = resolve_plan(plan, observables).num_triples
-        if requested < 0:
-            raise ValueError("num_triples must be non-negative")
         rng = random.Random(plan.seed)
-        if plan.mode == "without_replacement":
-            if requested > population:
-                raise SampleExceedsPopulation(
-                    f"{requested} distinct triples requested, only {population} exist"
-                )
-            ranks = rng.sample(range(population), requested)
-        elif plan.mode == "with_replacement":
+        if plan.mode == "with_replacement":
             ranks = [rng.randrange(population) for _ in range(requested)]
+        elif requested > population:
+            raise SampleExceedsPopulation(
+                f"{requested} distinct triples requested, only {population} exist"
+            )
         else:
-            raise ValueError(f"unknown sampling mode {plan.mode!r}")
+            ranks = rng.sample(range(population), requested)
     return [
         tuple(ids[x] for x in _unrank_triple(rank, t)) for rank in ranks
     ]
@@ -201,23 +194,20 @@ def evaluate_triples(
     Evaluation is a pure function of (source, ids, plan), so repeated
     triples (with-replacement sampling) are computed once and reused.
     """
-    unique = list(dict.fromkeys(triples))
     by_ids = {}
-    for ids in unique:
+    for ids in dict.fromkeys(triples):
         try:
             params, verdict, lp = feasibility_from_dataset(
                 source, ids, plan.smoothing, plan.bistochastic_tol, plan.feasibility_tol
             )
-        except SolverFailure:
-            raise
-        except ContextualityError as exc:
+        except DataError as exc:  # a SolverFailure is not a skip; it propagates
             by_ids[ids] = TripleReport(ids=ids, params=None, accardi=None, lp=None, error=str(exc))
         else:
             by_ids[ids] = TripleReport(ids=ids, params=params, accardi=verdict, lp=lp)
     return [by_ids[ids] for ids in triples]
 
 
-def summarize(reports: list[TripleReport], plan: SamplingPlan) -> PersEstimate:
+def summarize(reports: list[TripleReport]) -> PersEstimate:
     """Tally per-triple reports into the two ratios with Wilson intervals."""
     sampled = len(reports)
     skipped = sum(1 for r in reports if r.skipped)
@@ -238,7 +228,6 @@ def summarize(reports: list[TripleReport], plan: SamplingPlan) -> PersEstimate:
         applicable=applicable,
         violations=(accardi_violations, lp_violations),
         skipped=skipped,
-        seed=plan.seed,
         ci95_accardi=wilson_interval(accardi_violations, applicable),
         ci95_lp=wilson_interval(lp_violations, decided),
     )
@@ -248,4 +237,4 @@ def resolve_plan(plan: SamplingPlan, observables: ObservableSet) -> SamplingPlan
     """A copy of the plan with num_triples made explicit for reporting."""
     if plan.num_triples is not None or plan.mode == "exhaustive":
         return plan
-    return replace(plan, num_triples=min(1000, _num_triples(len(observables))))
+    return replace(plan, num_triples=min(1000, math.comb(len(observables), 3)))

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from typing import Literal
 
-from .observables import ObservableSet
 from .personalization import (
     PersEstimate,
     SamplingPlan,
@@ -36,29 +35,26 @@ class AnalysisReport:
     triples: tuple[TripleReport, ...]
     pers: PersEstimate
 
-    @property
-    def skipped(self) -> tuple[tuple[tuple[str, str, str], str], ...]:
-        return tuple((r.ids, r.error) for r in self.triples if r.skipped)
 
-
-def analyze(source, observables: ObservableSet, plan: SamplingPlan) -> AnalysisReport:
-    """The pipeline: sample triples, evaluate them, tally the ratios, and
-    package everything into one report."""
+def analyze(source, plan: SamplingPlan) -> AnalysisReport:
+    """The pipeline: sample triples of ``source.observables``, evaluate
+    them, tally the ratios, and package everything into one report."""
+    observables = source.observables
     plan = resolve_plan(plan, observables)
     triples = sample_triples(observables, plan)
     reports = evaluate_triples(source, triples, plan)
     return AnalysisReport(
-        source=getattr(source, "observables", observables).source or "<in-memory>",
+        source=observables.source or "<in-memory>",
         observable_ids=observables.ids(),
         plan=plan,
         triples=tuple(reports),
-        pers=summarize(reports, plan),
+        pers=summarize(reports),
     )
 
 
-def estimate_pers(source, observables: ObservableSet, plan: SamplingPlan) -> PersEstimate:
+def estimate_pers(source, plan: SamplingPlan) -> PersEstimate:
     """The tallied ratios of ``analyze``."""
-    return analyze(source, observables, plan).pers
+    return analyze(source, plan).pers
 
 
 def _sig(x: float) -> float:
@@ -115,13 +111,13 @@ def report_body(report: AnalysisReport) -> dict:
             "accardi_violations": pers.violations[0],
             "lp_violations": pers.violations[1],
             "skipped": pers.skipped,
-            "seed": pers.seed,
+            "seed": plan.seed,
             "ci95_accardi": [_sig(v) for v in pers.ci95_accardi],
             "ci95_lp": [_sig(v) for v in pers.ci95_lp],
         },
         "triples": [_triple_row(r) for r in report.triples],
         "skipped": [
-            {"observables": list(ids), "reason": reason} for ids, reason in report.skipped
+            {"observables": list(r.ids), "reason": r.error} for r in report.triples if r.skipped
         ],
     }
 

@@ -158,19 +158,6 @@ def estimate_transition(counts: CountTable, smoothing: float = 0.0) -> Transitio
     return TransitionMatrix(counts.pair, entries, priors, joint)
 
 
-def transition_from_joint(pair: tuple[str, str], joint: np.ndarray) -> TransitionMatrix:
-    """Exact transition matrix from an explicit 2x2 pair joint table."""
-    joint = np.asarray(joint, dtype=np.float64)
-    rows = joint.sum(axis=1)
-    if (rows == 0).any():
-        i = int(np.argmin(rows))
-        raise ZeroConditioningRow(
-            f"outcome {i} of {pair[0]!r} has zero probability; conditionals undefined"
-        )
-    entries = joint / rows[:, None]
-    return TransitionMatrix(pair, entries, rows, joint)
-
-
 def pair_transition(
     source, conditioning: str, conditioned: str, smoothing: float = 0.0
 ) -> TransitionMatrix:
@@ -190,8 +177,14 @@ def pair_transition(
         ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
         if ia == ib:
             raise ValueError("pair must name two distinct observables")
-        pair = (conditioning, conditioned)
-        found = transition_from_joint(pair, stats.table[ia, ib])
+        joint = stats.table[ia, ib]
+        rows = joint.sum(axis=1)
+        if (rows == 0).any():
+            raise ZeroConditioningRow(
+                f"outcome {int(np.argmin(rows))} of {conditioning!r} has zero probability; "
+                "conditionals undefined"
+            )
+        found = TransitionMatrix((conditioning, conditioned), joint / rows[:, None], rows, joint)
     else:
         found = estimate_transition(count_pairs(source, conditioning, conditioned), smoothing)
     stats._transitions[key] = found

@@ -97,7 +97,7 @@ def test_c3_classical_soundness():
 
     triples = sample_triples(sample.exact.observables, plan)
     exact_reports = evaluate_triples(sample.exact, triples, plan)
-    exact = summarize(exact_reports, plan)
+    exact = summarize(exact_reports)
     assert len(triples) == 20
     for report in exact_reports:
         assert report.lp.feasible, report.ids
@@ -105,7 +105,7 @@ def test_c3_classical_soundness():
     assert exact.pers_lp == 0.0
 
     empirical_reports = evaluate_triples(sample.dataset, triples, plan)
-    empirical = summarize(empirical_reports, plan)
+    empirical = summarize(empirical_reports)
     assert empirical.pers_lp == 0.0
     boundary_only = all(
         abs(r.accardi.slack) < 0.02
@@ -127,7 +127,7 @@ def test_c4_quantum_completeness():
     plan = SamplingPlan(mode="exhaustive")
     triples = sample_triples(exact_sample.exact.observables, plan)
     reports = evaluate_triples(exact_sample.exact, triples, plan)
-    estimate = summarize(reports, plan)
+    estimate = summarize(reports)
     report = reports[0]
     for value in (report.params.p, report.params.q, report.params.r):
         assert abs(value - 0.25) <= 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -55,6 +56,28 @@ class TestGen:
         assert code == 0, err
         lines = (tmp_path / "c" / "records").read_text().splitlines()
         assert lines[1:] == ["1,1"] * 10
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["quantum", "--angles", "0,120,240"], {
+                "pairs": "b3637dd194796e5fbd7d710f3210fc4efe6a619c7ee6f7c1e9335592f42e9d35",
+                "exact.json": "c400f800b77b71051359badad07420ff2248647390d7a5fdf7ebae6d53b1d290",
+            }),
+            (["classical", "--t", "4"], {
+                "records": "6000153a45ac6860ccaa2b0faa8de4a0d52b5bc5bd789b729d52918ccdbb23b1",
+                "exact.json": "84d29b5d474880c0b757fddf6e07bf3384236ea6a67ccd74986d5bc1888beddf",
+            }),
+        ],
+    )
+    def test_written_files_are_pinned(self, tmp_path, argv, expected):
+        # the benchmark's report hashes are computed over these bytes
+        code, _, err = run(["gen", *argv, "--n", "500", "--seed", "7", "--out", str(tmp_path)])
+        assert code == 0, err
+        written = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
+        }
+        assert written == expected
 
     def test_invalid_size_is_usage_error(self, tmp_path):
         code, _, err = run(
@@ -122,6 +145,22 @@ class TestPers:
         config = json.loads(out)["report"]["config"]
         assert (config["mode"], config["seed"], config["smoothing"],
                 config["feasibility_tol"]) == ("without_replacement", 0, 0.0, 1e-8)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "exhaustive", "--triples", "5"],
+            ["--mode", "exhaustive", "--triples", "-3"],
+            ["--triples", "-3"],
+        ],
+    )
+    def test_bad_triple_count_is_data_error(self, trine_dir, flags):
+        # exhaustive mode visits every triple, so any count would be misreported
+        code, out, err = run(
+            ["pers", "--input", str(trine_dir / "pairs"), "--input-format", "pairlog", *flags]
+        )
+        assert (code, out) == (2, "")
+        assert "num_triples" in err
 
 
 class TestNonsenseTolerances:

@@ -178,8 +178,9 @@ class TestWitnessRecheck:
 
 
 class TestSparseAssembly:
-    """Three pairs over T=19 give 12 x 2**19 > 5e6 constraint entries, so
-    ``decide_feasibility`` assembles its rows as a sparse matrix."""
+    """Three pairs over T=19 give 12 x 2**19 constraint entries, which
+    ``decide_feasibility`` assembles as a sparse matrix, as it does the
+    rows of every problem it sends to the solver."""
 
     T = 19
 

@@ -59,9 +59,7 @@ class TestClassicalGenerator:
         # every exact-mode classical source has pers_lp = 0, for all T <= 6
         for t in (3, 4, 5, 6):
             sample = gen_classical(ClassicalModelSpec(num_observables=t, num_records=0, seed=t))
-            estimate = estimate_pers(
-                sample.exact, sample.exact.observables, SamplingPlan(mode="exhaustive")
-            )
+            estimate = estimate_pers(sample.exact, SamplingPlan(mode="exhaustive"))
             assert estimate.pers_lp == 0.0
             assert estimate.violations == (0, 0)
 

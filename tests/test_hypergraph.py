@@ -78,6 +78,20 @@ class TestFindState:
         h = ContextHypergraph(atoms=("a", "b"), contexts=(("a", "b"),))
         assert not state_is_unique(h)
 
+    @pytest.mark.parametrize("contexts", ["ac bc", "ab ac bd", "ab ac cd", "ab bd cd"])
+    def test_state_segment_is_not_unique(self, contexts):
+        # each has a one-parameter family of states, e.g. for "ac bc":
+        # a = b = 1 - c for every c in [0, 1]
+        contexts = tuple(tuple(c) for c in contexts.split())
+        h = ContextHypergraph(atoms=tuple(sorted(set().union(*contexts))), contexts=contexts)
+        assert find_state(h) is not None
+        assert not state_is_unique(h)
+
+    def test_uniqueness_of_no_state_is_undefined(self):
+        h = ContextHypergraph(atoms=("a", "b"), contexts=(("a",), ("a", "b"), ("b",)))
+        with pytest.raises(ValueError):
+            state_is_unique(h)
+
     def test_infeasible_system_returns_none(self):
         # a = 1 and b = 1 contradict a + b = 1
         h = ContextHypergraph(atoms=("a", "b"), contexts=(("a",), ("a", "b"), ("b",)))
@@ -142,6 +156,13 @@ class TestTwoValuedStates:
     def test_limit_truncates(self):
         h = contingency_to_hypergraph("A", "B")
         assert len(enumerate_two_valued_states(h, limit=2)) == 2
+
+    @pytest.mark.parametrize("limit", [0, -2])
+    def test_limit_below_one_is_rejected(self, limit):
+        # an empty list would read as a Kochen-Specker-type obstruction
+        h = ContextHypergraph(atoms=("a", "b"), contexts=(("a", "b"),))
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_two_valued_states(h, limit=limit)
 
     def test_relabeling_preserves_counts_and_state_existence(self):
         for h in (TRIANGLE, FIVE_CYCLE, contingency_to_hypergraph("A", "B")):

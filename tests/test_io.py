@@ -245,11 +245,11 @@ class TestReportSerialization:
     @pytest.fixture()
     def report(self):
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=2000, seed=7))
-        return analyze(sample.dataset, sample.dataset.observables, SamplingPlan(mode="exhaustive"))
+        return analyze(sample.dataset, SamplingPlan(mode="exhaustive"))
 
     def test_json_body_is_deterministic(self, report):
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=2000, seed=7))
-        again = analyze(sample.dataset, sample.dataset.observables, SamplingPlan(mode="exhaustive"))
+        again = analyze(sample.dataset, SamplingPlan(mode="exhaustive"))
         assert write_report(report) == write_report(again)
 
     def test_metadata_is_separate_from_body(self, report):
@@ -285,7 +285,7 @@ class TestReportSerialization:
             observable_ids=("a0", "a1"),
             plan=plan,
             triples=(),
-            pers=summarize([], plan),
+            pers=summarize([]),
         )
         body = json.loads(write_report(report))["report"]
         assert body["pers"]["sampled"] == 0

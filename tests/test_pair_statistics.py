@@ -203,7 +203,7 @@ class TestPipelineReadsEachPairOnce:
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 30.0, 75.0, 140.0, 200.0, 290.0),
                                             shots=300, seed=4))
         plan = SamplingPlan(mode="exhaustive")
-        report = analyze(sample.dataset, sample.dataset.observables, plan)
+        report = analyze(sample.dataset, plan)
         needed = {pair for a, b, c in sample_triples(sample.dataset.observables, plan)
                   for pair in ((b, a), (c, b), (a, c))}
         assert report.pers.decided == 20
@@ -216,8 +216,7 @@ class TestPipelineReadsEachPairOnce:
                                             shots=300, seed=4))
         observables = sample.dataset.observables
         for tol in (0.01, 0.2):
-            estimate_pers(sample.dataset, observables,
-                          SamplingPlan(mode="exhaustive", bistochastic_tol=tol))
+            estimate_pers(sample.dataset, SamplingPlan(mode="exhaustive", bistochastic_tol=tol))
         needed = {pair for a, b, c in sample_triples(observables, SamplingPlan(mode="exhaustive"))
                   for pair in ((b, a), (c, b), (a, c))}
         assert sorted(estimated) == sorted(needed)
@@ -227,6 +226,6 @@ class TestPipelineReadsEachPairOnce:
         estimated = self.spy_estimates(monkeypatch)
         sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=2000, seed=1))
         plan = SamplingPlan(num_triples=60, mode="with_replacement", seed=2)
-        analyze(sample.dataset, sample.dataset.observables, plan)
+        analyze(sample.dataset, plan)
         assert builds == [sample.dataset]
         assert len(estimated) == len(set(estimated))

@@ -67,6 +67,20 @@ class TestSampleTriples:
         with pytest.raises(ProblemTooLarge):
             sample_triples(observable_set(100), SamplingPlan(mode="exhaustive"))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"mode": "bogus"}, "unknown sampling mode"),
+            ({"num_triples": -1}, "non-negative"),
+            ({"num_triples": -1, "mode": "with_replacement"}, "non-negative"),
+            ({"num_triples": 5, "mode": "exhaustive"}, "exhaustive"),
+            ({"num_triples": 0, "mode": "exhaustive"}, "exhaustive"),
+        ],
+    )
+    def test_plan_rejects_bad_sampling_settings_when_constructed(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SamplingPlan(**fields)
+
     @given(t=st.integers(3, 12), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_with_replacement_draws_valid_triples(self, t, seed):
@@ -98,7 +112,7 @@ class TestEstimatePers:
         col = rng.integers(0, 2, size=100)
         records = np.stack([col, col, col, col], axis=1)
         dataset = JointRecordDataset(observable_set(4), records.astype(np.uint8))
-        estimate = estimate_pers(dataset, dataset.observables, SamplingPlan(mode="exhaustive"))
+        estimate = estimate_pers(dataset, SamplingPlan(mode="exhaustive"))
         assert estimate.applicable == 4
         assert estimate.pers_accardi == 0.0
         assert estimate.pers_lp == 0.0
@@ -111,7 +125,7 @@ class TestEstimatePers:
             SamplingPlan(num_triples=30, mode="with_replacement", seed=77),
         ]
         for plan in plans:
-            estimate = estimate_pers(sample.exact, sample.exact.observables, plan)
+            estimate = estimate_pers(sample.exact, plan)
             assert estimate.pers_lp == 0.0
             assert estimate.violations == (0, 0)
 
@@ -119,9 +133,7 @@ class TestEstimatePers:
         sample = gen_quantum(
             QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
         )
-        estimate = estimate_pers(
-            sample.dataset, sample.dataset.observables, SamplingPlan(mode="exhaustive")
-        )
+        estimate = estimate_pers(sample.dataset, SamplingPlan(mode="exhaustive"))
         assert estimate.sampled == 1
         assert estimate.applicable == 1
         assert estimate.pers_accardi == 1.0
@@ -133,9 +145,7 @@ class TestEstimatePers:
                 angles_deg=(0.0, 90.0, 180.0), shots=100, seed=1, pairs=((0, 1), (1, 2))
             )
         )
-        estimate = estimate_pers(
-            sample.dataset, sample.dataset.observables, SamplingPlan(mode="exhaustive")
-        )
+        estimate = estimate_pers(sample.dataset, SamplingPlan(mode="exhaustive"))
         assert estimate.sampled == 1
         assert estimate.skipped == 1
         assert estimate.decided == 0
@@ -143,20 +153,14 @@ class TestEstimatePers:
     def test_bitwise_determinism_across_runs(self):
         sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=5000, seed=3))
         plan = SamplingPlan(num_triples=15, seed=5)
-        results = [
-            estimate_pers(sample.dataset, sample.dataset.observables, plan) for _ in range(3)
-        ]
+        results = [estimate_pers(sample.dataset, plan) for _ in range(3)]
         assert results[0] == results[1] == results[2]
 
     def test_with_replacement_matches_exhaustive_within_three_halfwidths(self):
         sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=0, seed=3))
-        exhaustive = estimate_pers(
-            sample.exact, sample.exact.observables, SamplingPlan(mode="exhaustive")
-        )
+        exhaustive = estimate_pers(sample.exact, SamplingPlan(mode="exhaustive"))
         drawn = estimate_pers(
-            sample.exact,
-            sample.exact.observables,
-            SamplingPlan(num_triples=10000, mode="with_replacement", seed=9),
+            sample.exact, SamplingPlan(num_triples=10000, mode="with_replacement", seed=9),
         )
         for attr in ("pers_lp", "pers_accardi"):
             point = getattr(drawn, attr)
@@ -169,7 +173,7 @@ class TestEstimatePers:
         plan = SamplingPlan(mode="exhaustive")
         triples = sample_triples(sample.dataset.observables, plan)
         reports = evaluate_triples(sample.dataset, triples, plan)
-        estimate = summarize(reports, plan)
+        estimate = summarize(reports)
         assert estimate.sampled == len(reports) == 4
         assert estimate.decided == estimate.sampled - estimate.skipped
         assert estimate.violations[0] <= estimate.applicable

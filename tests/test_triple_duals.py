@@ -214,7 +214,7 @@ class TestCertificates:
             return result
 
         monkeypatch.setattr(feasibility, "decide_feasibility", recording)
-        report = analyze(pairlog, pairlog.observables, SamplingPlan(mode="exhaustive"))
+        report = analyze(pairlog, SamplingPlan(mode="exhaustive"))
         assert len(decided) == len(report.triples) == 84
         infeasible = [(p, r) for p, r in decided if not r.feasible]
         assert infeasible
@@ -230,7 +230,7 @@ class TestCertificates:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(feasibility, "linprog", spy)
-        analyze(pairlog, pairlog.observables, SamplingPlan(mode="exhaustive"))
+        analyze(pairlog, SamplingPlan(mode="exhaustive"))
         assert calls == []
         # the spy does see the solver on a problem outside the table
         rng = np.random.default_rng(3)
