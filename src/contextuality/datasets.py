@@ -106,7 +106,7 @@ class JointRecordDataset:
 class PairLogDataset:
     """Logged pairwise measurements: (observable, outcome, observable, outcome).
 
-    Entries are stored column-wise as index arrays into ``observables``.
+    Entries are stored column-wise as int32 index and value arrays.
     """
 
     observables: ObservableSet
@@ -117,9 +117,10 @@ class PairLogDataset:
 
     def __post_init__(self):
         t = len(self.observables)
+        names = ("first_index", "first_value", "second_index", "second_value")
         cols = []
-        for name in ("first_index", "first_value", "second_index", "second_value"):
-            col = frozen_array(getattr(self, name), np.int64)
+        for name in names:
+            col = frozen_array(getattr(self, name), np.int32)
             if col.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
             cols.append(col)
@@ -134,27 +135,15 @@ class PairLogDataset:
         for val in (fv, sv):
             if val.size and (val.min() < 0 or val.max() > 1):
                 raise ValueError("logged values must be 0 or 1")
-        for name, col in zip(
-            ("first_index", "first_value", "second_index", "second_value"), cols
-        ):
+        for name, col in zip(names, cols):
             object.__setattr__(self, name, col)
 
     @classmethod
     def from_entries(cls, observables: ObservableSet, entries) -> PairLogDataset:
         """Build from an iterable of (obs_a, val_a, obs_b, val_b) tuples."""
-        fi, fv, si, sv = [], [], [], []
-        for a, va, b, vb in entries:
-            fi.append(observables.index_of(a))
-            fv.append(va)
-            si.append(observables.index_of(b))
-            sv.append(vb)
-        return cls(
-            observables,
-            np.array(fi, dtype=np.int64),
-            np.array(fv, dtype=np.int64),
-            np.array(si, dtype=np.int64),
-            np.array(sv, dtype=np.int64),
-        )
+        rows = [(observables.index_of(a), va, observables.index_of(b), vb)
+                for a, va, b, vb in entries]
+        return cls(observables, *np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
     def __len__(self) -> int:
         return len(self.first_index)
@@ -164,8 +153,9 @@ class PairLogDataset:
         """Pair counts in one ``bincount`` pass; entries logged in (b, a)
         orientation are added to (a, b) transposed."""
         t = len(self.observables)
-        keys = ((self.first_index * t + self.second_index) * 2 + self.first_value) * 2
-        logged = np.bincount(keys + self.second_value, minlength=4 * t * t).reshape(t, t, 2, 2)
+        columns = (self.first_index, self.second_index, self.first_value, self.second_value)
+        keys = np.ravel_multi_index(columns, (t, t, 2, 2))  # int64, whatever T
+        logged = np.bincount(keys, minlength=4 * t * t).reshape(t, t, 2, 2)
         return PairStatistics(logged + logged.transpose(1, 0, 3, 2), missing="no logged pairs for")
 
 

@@ -76,18 +76,13 @@ class ValidationReport:
         return not self.issues()
 
     def issues(self) -> list[str]:
-        out = []
-        for atom in self.uncovered_atoms:
-            out.append(f"atom {atom!r} belongs to no context")
-        for small, big in self.subset_contexts:
-            out.append(f"context {small} is a subset of {big}")
-        for atom in self.duplicate_atoms:
-            out.append(f"duplicate atom id {atom!r}")
-        for context in self.duplicate_contexts:
-            out.append(f"duplicate context {context}")
-        for context in self.undersized_contexts:
-            out.append(f"context {context} has fewer than 2 atoms")
-        return out
+        return (
+            [f"atom {atom!r} belongs to no context" for atom in self.uncovered_atoms]
+            + [f"context {small} is a subset of {big}" for small, big in self.subset_contexts]
+            + [f"duplicate atom id {atom!r}" for atom in self.duplicate_atoms]
+            + [f"duplicate context {context}" for context in self.duplicate_contexts]
+            + [f"context {context} has fewer than 2 atoms" for context in self.undersized_contexts]
+        )
 
 
 @dataclass(frozen=True)
@@ -116,9 +111,7 @@ class TwoValuedState:
 
 def validate(hypergraph: ContextHypergraph) -> ValidationReport:
     """Report all structural invariant violations without rejecting."""
-    covered = set()
-    for context in hypergraph.contexts:
-        covered.update(context)
+    covered = set().union(*hypergraph.contexts)
     uncovered = tuple(a for a in hypergraph.atoms if a not in covered)
 
     seen_atoms, dup_atoms = set(), []
@@ -195,7 +188,10 @@ def state_is_unique(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> bo
 
     Raises:
         ValueError: no state exists, so uniqueness is undefined.
+        ProblemTooLarge: more than 10**4 atoms.
     """
+    if len(hypergraph.atoms) > MAX_STATE_ATOMS:
+        raise ProblemTooLarge(f"{len(hypergraph.atoms)} atoms exceed {MAX_STATE_ATOMS}")
     rows, _ = _context_matrix(hypergraph)
     for k in range(rows.shape[1]):
         cost = np.zeros(rows.shape[1])
@@ -270,16 +266,12 @@ def is_connected(hypergraph: ContextHypergraph) -> bool:
     contexts = [set(c) for c in hypergraph.contexts]
     if len(contexts) <= 1:
         return True
-    remaining = set(range(len(contexts)))
-    stack = [remaining.pop()]
-    component = set(stack)
+    remaining, stack = set(range(1, len(contexts))), [0]
     while stack:
         current = stack.pop()
         linked = [i for i in remaining if contexts[i] & contexts[current]]
-        for i in linked:
-            remaining.discard(i)
-            component.add(i)
-            stack.append(i)
+        remaining.difference_update(linked)
+        stack += linked
     return not remaining
 
 

@@ -8,7 +8,10 @@ then ``context A B ...`` lines; ``#`` starts a comment.  Marginal
 problems: JSON (see :func:`read_marginals`).
 
 Parsers report 1-based line and field positions on failure and ignore
-blank lines; whitespace around fields is trimmed.
+blank lines; whitespace around fields is trimmed.  Record and pair-log
+files repeat a few lines many times, so each distinct line is validated
+and converted once and the rows are gathered by one array index; an
+error names the first line that holds the bad text.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .hypergraph import ContextHypergraph
 from .observables import ObservableSet
 
 _LINE_BLOCK_CHARS = 1 << 16
+_MEMO_LINES = 1 << 12  # distinct lines remembered at a time, so no file is held whole
+_BITS = {"0": 0, "1": 1}
 _WRITE_BLOCK_ROWS = 1 << 14  # rows formatted at a time, so no file is held whole as text
 
 PAIRLOG_HEADER = ("obs_a", "val_a", "obs_b", "val_b")
@@ -39,8 +44,7 @@ def _data_lines(text: str, allow_comments: bool = False):
     while start < len(text):
         end = text.find("\n", start + _LINE_BLOCK_CHARS) + 1 or len(text)
         block = text[start:end].splitlines()
-        for lineno, raw in enumerate(block, start=first):
-            line = raw.strip()
+        for lineno, line in enumerate(map(str.strip, block), start=first):
             if allow_comments and "#" in line:
                 line = line.split("#", 1)[0].strip()
             if line:
@@ -51,11 +55,29 @@ def _data_lines(text: str, allow_comments: bool = False):
 
 def _parse_bit(field: str, lineno: int, column: int) -> int:
     value = field.strip()
-    if value == "0":
-        return 0
-    if value == "1":
-        return 1
-    raise NonBinaryValue(f"expected 0 or 1, got {value!r}", line=lineno, column=column)
+    if value not in _BITS:
+        raise NonBinaryValue(f"expected 0 or 1, got {value!r}", line=lineno, column=column)
+    return _BITS[value]
+
+
+def _gather(lines, parse_row, width: int) -> np.ndarray:
+    """The rows of the remaining lines as an (N, width) array of the narrowest
+    unsigned type.  Only a line unlike the last ``_MEMO_LINES`` distinct ones
+    goes to ``parse_row(line, lineno)``, which checks it and returns its row."""
+    memo: dict[str, int] = {}  # line -> row code
+    distinct, codes, rows = [], [], 0
+    for lineno, line in lines:
+        code = memo.get(line)
+        if code is None:
+            if len(memo) == _MEMO_LINES:
+                memo.clear()
+            distinct += parse_row(line, lineno)
+            code = memo[line] = rows
+            rows += 1
+        codes.append(code)
+    table = np.array(distinct, dtype=np.uint32).reshape(-1, width)
+    table = table.astype(np.min_scalar_type(table.max(initial=0)))  # keeps the parse peak low
+    return table[np.array(codes, dtype=np.int32)]
 
 
 def read_joint(path) -> JointRecordDataset:
@@ -65,8 +87,7 @@ def read_joint(path) -> JointRecordDataset:
         ParseError / NonBinaryValue / HeaderMismatch with line and field
         position.
     """
-    text = Path(path).read_text()
-    lines = _data_lines(text)
+    lines = _data_lines(Path(path).read_text())
     try:
         header_line, header = next(lines)
     except StopIteration:
@@ -78,18 +99,17 @@ def read_joint(path) -> JointRecordDataset:
         observables = ObservableSet.from_ids(names, source=str(path))
     except ValueError as exc:
         raise HeaderMismatch(str(exc), line=header_line) from None
-    records = []
-    for lineno, line in lines:
+
+    def parse_row(line, lineno):
         fields = line.split(",")
         if len(fields) != len(names):
-            raise ParseError(
-                f"expected {len(names)} fields, got {len(fields)}", line=lineno
-            )
-        records.append(
-            [_parse_bit(f, lineno, col) for col, f in enumerate(fields, start=1)]
-        )
-    array = np.array(records, dtype=np.uint8) if records else np.zeros((0, len(names)), np.uint8)
-    return JointRecordDataset(observables, array)
+            raise ParseError(f"expected {len(names)} fields, got {len(fields)}", line=lineno)
+        try:
+            return [_BITS[f] for f in fields]
+        except KeyError:  # padded or not a bit
+            return [_parse_bit(f, lineno, col) for col, f in enumerate(fields, start=1)]
+
+    return JointRecordDataset(observables, _gather(lines, parse_row, len(names)))
 
 
 def write_joint(dataset: JointRecordDataset, path) -> None:
@@ -115,30 +135,27 @@ def read_pairlog(path) -> PairLogDataset:
             line=header_line,
         )
     index: dict[str, int] = {}  # observable -> position of first appearance
-    columns: tuple[list[int], ...] = ([], [], [], [])
-    for lineno, line in lines:
+
+    def parse_row(line, lineno):
         parts = line.split(",")
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
-        obs_a = parts[0].strip()
-        obs_b = parts[2].strip()
+        obs_a, obs_b = parts[0].strip(), parts[2].strip()
         if not obs_a or not obs_b:
             raise ParseError("empty observable name", line=lineno)
         if obs_a == obs_b:
             raise ParseError(f"entry pairs {obs_a!r} with itself", line=lineno)
-        columns[1].append(_parse_bit(parts[1], lineno, 2))
-        columns[3].append(_parse_bit(parts[3], lineno, 4))
-        columns[0].append(index.setdefault(obs_a, len(index)))
-        columns[2].append(index.setdefault(obs_b, len(index)))
+        try:
+            val_a, val_b = _BITS[parts[1]], _BITS[parts[3]]
+        except KeyError:  # padded or not a bit
+            val_a, val_b = _parse_bit(parts[1], lineno, 2), _parse_bit(parts[3], lineno, 4)
+        return (index.setdefault(obs_a, len(index)), val_a,
+                index.setdefault(obs_b, len(index)), val_b)
+
+    entries = _gather(lines, parse_row, 4)
     if not index:
         raise ParseError("pair-log holds no entries")
-    observables = ObservableSet.from_ids(index, source=str(path))
-    # Free each list once converted; the dataset widens the int32 copies.
-    arrays = []
-    for col in columns:
-        arrays.append(np.array(col, dtype=np.int32))
-        col.clear()
-    return PairLogDataset(observables, *arrays)
+    return PairLogDataset(ObservableSet.from_ids(index, source=str(path)), *entries.T)
 
 
 def write_pairlog(dataset: PairLogDataset, path) -> None:

@@ -162,6 +162,27 @@ class TestPers:
         assert (code, out) == (2, "")
         assert "num_triples" in err
 
+    @pytest.mark.parametrize(
+        "gen, pers, expected",
+        [
+            (["quantum", "--angles", "0,60,120,180,240,300", "--n", "500"],
+             ["pairs", "--input-format", "pairlog", "--mode", "exhaustive"],
+             "ae075b4f2b188840148ee334b033dd18b0e65c6849ced94b5a38ab8ed2d860dd"),
+            (["classical", "--t", "6", "--n", "2000"], ["records"],
+             "2b134977c183921c30e83bbe98307b4f58e276455bb89c91fb8cd57a72919c50"),
+        ],
+        ids=["pairlog", "joint"],
+    )
+    def test_report_body_is_pinned(self, tmp_path, monkeypatch, gen, pers, expected):
+        # parsing, statistics and serialization must leave the report bytes as
+        # they were; the body names the input path, so it is given relatively
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(["gen", *gen, "--seed", "7", "--out", "."])
+        assert code == 0, err
+        code, out, err = run(["pers", "--input", *pers])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+
 
 class TestNonsenseTolerances:
     @pytest.mark.parametrize("command", ["pers", "triple"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from contextuality import hypergraph
 from contextuality import (
     ContextHypergraph,
     ProblemTooLarge,
@@ -119,6 +120,13 @@ class TestFindState:
         h = ContextHypergraph(atoms=atoms, contexts=(atoms,))
         with pytest.raises(ProblemTooLarge):
             find_state(h)
+
+    def test_uniqueness_atom_cap(self, monkeypatch):
+        # two solves per atom, so the cap of find_state holds here too
+        monkeypatch.setattr(hypergraph, "MAX_STATE_ATOMS", 3)
+        assert state_is_unique(TRIANGLE)
+        with pytest.raises(ProblemTooLarge, match="5 atoms exceed 3"):
+            state_is_unique(FIVE_CYCLE)
 
 
 class TestTwoValuedStates:

@@ -150,6 +150,172 @@ def reference_data_lines(text, allow_comments=False):
             yield lineno, line
 
 
+def reference_bit(field, lineno, column):
+    value = field.strip()
+    if value not in ("0", "1"):
+        raise NonBinaryValue(f"expected 0 or 1, got {value!r}", line=lineno, column=column)
+    return int(value)
+
+
+def reference_read_pairlog(text):
+    """Pair-log entries parsed one line at a time: (observable ids, columns)."""
+    lines = reference_data_lines(text)
+    next(lines)  # the header, which these tests always write correctly
+    index, columns = {}, ([], [], [], [])
+    for lineno, line in lines:
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
+        obs_a, obs_b = parts[0].strip(), parts[2].strip()
+        if not obs_a or not obs_b:
+            raise ParseError("empty observable name", line=lineno)
+        if obs_a == obs_b:
+            raise ParseError(f"entry pairs {obs_a!r} with itself", line=lineno)
+        columns[1].append(reference_bit(parts[1], lineno, 2))
+        columns[3].append(reference_bit(parts[3], lineno, 4))
+        columns[0].append(index.setdefault(obs_a, len(index)))
+        columns[2].append(index.setdefault(obs_b, len(index)))
+    if not index:
+        raise ParseError("pair-log holds no entries")
+    return tuple(index), columns
+
+
+def reference_read_joint(text):
+    """Joint records parsed one line at a time: (observable ids, records)."""
+    lines = reference_data_lines(text)
+    names = [f.strip() for f in next(lines)[1].split(",")]
+    records = []
+    for lineno, line in lines:
+        fields = line.split(",")
+        if len(fields) != len(names):
+            raise ParseError(f"expected {len(names)} fields, got {len(fields)}", line=lineno)
+        records.append([reference_bit(f, lineno, col) for col, f in enumerate(fields, start=1)])
+    return tuple(names), records
+
+
+def error_of(call, *args):
+    try:
+        return call(*args), None
+    except ParseError as exc:
+        return None, (type(exc), str(exc), exc.line, exc.column)
+
+
+PADS = st.sampled_from(["", "", " ", "\t", "  "])
+
+
+@st.composite
+def rendered(draw, fields):
+    """One data line: the fields, each padded with blanks or left bare."""
+    return ",".join(draw(PADS) + str(f) + draw(PADS) for f in fields)
+
+
+@st.composite
+def data_file(draw, header, rows, bad_lines):
+    """A header, then good rows drawn from a few distinct ones (so lines repeat,
+    padded differently or not), blank lines, and perhaps one bad line,
+    written once or more, anywhere among the good ones."""
+    distinct = draw(st.lists(rows, min_size=1, max_size=4))
+    body = draw(st.lists(
+        st.one_of(st.sampled_from(distinct).flatmap(rendered), st.sampled_from(["", "  "])),
+        max_size=30,
+    ))
+    if draw(st.booleans()):
+        bad = draw(bad_lines(distinct))
+        for _ in range(draw(st.integers(1, 3))):
+            body.insert(draw(st.integers(0, len(body))), bad)
+    return header + "\n" + "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in body)
+
+
+NAMES = st.sampled_from(["A", "B", "c2", "long_name"])
+PAIR_ROWS = st.tuples(NAMES, st.integers(0, 1), NAMES, st.integers(0, 1)).filter(
+    lambda row: row[0] != row[2]
+)
+
+
+@st.composite
+def bad_pair_lines(draw, distinct):
+    a, va, b, vb = draw(st.sampled_from(distinct))
+    return draw(st.sampled_from([
+        f"{a},{va},{b}",  # too few fields
+        f"{a},{va},{b},{vb},1",  # too many
+        f" ,{va},{b},{vb}",  # empty name
+        f"{a},{va},,{vb}",
+        f"{a},{va},{a},{vb}",  # self-pair
+        f"{a},2,{b},{vb}",  # not a bit
+        f"{a},{va},{b}, x ",
+        f"{a},01,{b},7",
+        f"{a},{va},{b},",
+    ]))
+
+
+def joint_rows(width):
+    return st.lists(st.integers(0, 1), min_size=width, max_size=width)
+
+
+@st.composite
+def bad_joint_lines(draw, distinct):
+    row = [str(v) for v in draw(st.sampled_from(distinct))]
+    column = draw(st.integers(0, len(row) - 1))
+    return draw(st.sampled_from([
+        ",".join(row[:-1]),  # too few fields
+        ",".join(row + ["0"]),  # too many
+        ",".join(row[:column] + [draw(st.sampled_from(["2", "x", "", " 10"]))] + row[column + 1:]),
+    ]))
+
+
+class TestTallyParsers:
+    """Each distinct line is parsed once; the result and every error must be
+    those of parsing each line in turn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=data_file(",".join(formats.PAIRLOG_HEADER), PAIR_ROWS, bad_pair_lines),
+        block=st.integers(1, 16),
+        memo=st.sampled_from([1, 2, 3, 1 << 12]),
+    )
+    def test_pairlog_matches_line_by_line(self, tmp_path_factory, text, block, memo):
+        path = tmp_path_factory.getbasetemp() / "tally_pairs"
+        path.write_text(text)
+        expected, expected_error = error_of(reference_read_pairlog, path.read_text())
+        with mock.patch.multiple(formats, _LINE_BLOCK_CHARS=block, _MEMO_LINES=memo):
+            got, got_error = error_of(read_pairlog, path)
+        assert got_error == expected_error
+        if expected_error is None:
+            ids, columns = expected
+            assert got.observables.ids() == ids
+            for name, column in zip(("first_index", "first_value", "second_index",
+                                     "second_value"), columns):
+                assert getattr(got, name).tolist() == column
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        width=st.integers(1, 4),
+        block=st.integers(1, 16),
+        memo=st.sampled_from([1, 2, 3, 1 << 12]),
+    )
+    def test_joint_matches_line_by_line(self, tmp_path_factory, data, width, block, memo):
+        header = ",".join(f"x{i}" for i in range(width))
+        text = data.draw(data_file(header, joint_rows(width), bad_joint_lines))
+        path = tmp_path_factory.getbasetemp() / "tally_records"
+        path.write_text(text)
+        expected, expected_error = error_of(reference_read_joint, path.read_text())
+        with mock.patch.multiple(formats, _LINE_BLOCK_CHARS=block, _MEMO_LINES=memo):
+            got, got_error = error_of(read_joint, path)
+        assert got_error == expected_error
+        if expected_error is None:
+            assert got.observables.ids() == expected[0]
+            assert got.records.dtype == np.uint8
+            assert got.records.shape == (len(expected[1]), width)
+            assert got.records.tolist() == expected[1]
+
+    def test_joint_header_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,B,C\n\n")
+        records = read_joint(path).records
+        assert (records.shape, records.dtype) == ((0, 3), np.uint8)
+
+
 class TestDataLines:
     """Lines are split a block at a time; numbering must not depend on
     where the blocks end, whatever line breaks the text holds."""
