@@ -28,7 +28,6 @@ from .errors import (
     HeaderMismatch,
     InconsistentOrientations,
     NonBinaryValue,
-    PairMismatch,
     ParseError,
     ProblemTooLarge,
     SampleExceedsPopulation,
@@ -76,10 +75,8 @@ from .personalization import (
 )
 from .reports import AnalysisReport, analyze, estimate_pers, write_report
 from .transitions import (
-    ConsistencyReport,
     CountTable,
     TransitionMatrix,
-    bayes_consistency,
     count_pairs,
     estimate_transition,
     pair_transition,
@@ -92,7 +89,6 @@ __all__ = [
     "AnalysisReport",
     "ClassicalModelSpec",
     "ClassicalSample",
-    "ConsistencyReport",
     "ContextHypergraph",
     "ContextualityError",
     "CountTable",
@@ -108,7 +104,6 @@ __all__ = [
     "NonBinaryValue",
     "ObservableSet",
     "PairLogDataset",
-    "PairMismatch",
     "ParseError",
     "PersEstimate",
     "ProblemTooLarge",
@@ -128,7 +123,6 @@ __all__ = [
     "ZeroConditioningRow",
     "accardi_check",
     "analyze",
-    "bayes_consistency",
     "bistochastic_triple_problem",
     "build_problem",
     "contingency_to_hypergraph",

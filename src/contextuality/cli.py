@@ -141,16 +141,11 @@ def _load_dataset(args):
 
 
 def _cmd_pers(args, out) -> int:
-    dataset = _load_dataset(args)
-    plan = SamplingPlan(
-        num_triples=args.triples,
-        mode=args.mode,
-        seed=args.seed,
-        bistochastic_tol=args.tol_b,
-        smoothing=args.smoothing,
-        feasibility_tol=args.tol_lp,
-    )
-    report = analyze(dataset, plan)
+    # no local keeps the rows alive past analyze; the file is read before the plan is checked
+    report = analyze(_load_dataset(args), SamplingPlan(
+        num_triples=args.triples, mode=args.mode, seed=args.seed,
+        bistochastic_tol=args.tol_b, smoothing=args.smoothing, feasibility_tol=args.tol_lp,
+    ))
     text = write_report(report, format=args.format)
     if args.out is None:
         out.write(text)

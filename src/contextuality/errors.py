@@ -30,15 +30,12 @@ class ZeroConditioningRow(DataError):
     and no smoothing was requested."""
 
 
-class PairMismatch(DataError):
-    """Two transition matrices do not refer to the same unordered pair in
-    opposite orientations."""
-
-
 class InconsistentOrientations(DataError):
     """Both orientations of a pair were supplied and their implied joint
     tables disagree beyond tolerance.  Surfaced, never silently averaged:
-    the disagreement is itself evidence of context dependence."""
+    the disagreement is itself evidence of context dependence.  Raised
+    by ``feasibility.build_problem``, the package's one comparison of
+    two orientations."""
 
 
 class TooFewObservables(DataError):

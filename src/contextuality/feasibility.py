@@ -310,7 +310,10 @@ def build_problem(
 
     Each matrix contributes the pair joint J(i, j) = P(cond = i) *
     P(other = j | cond = i) for its pair.  When both orientations of one
-    pair are supplied their implied joints must agree within tolerance.
+    pair are supplied their implied joints must agree within tolerance,
+    and the first-listed is kept.  This is the package's one comparison
+    of two orientations: those of a single source agree exactly, as its
+    pair statistics hold table[b, a] = table[a, b].T.
 
     Raises:
         InconsistentOrientations: the two orientations disagree beyond

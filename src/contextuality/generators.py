@@ -56,6 +56,8 @@ class ClassicalModelSpec:
             )
         if self.num_records < 0:
             raise ValueError("num_records must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.distribution is not None:
             table = frozen_array(np.reshape(self.distribution, -1), np.float64)
             if table.size != 2**self.num_observables:
@@ -115,6 +117,8 @@ class QubitModelSpec:
             raise ValueError("angles must lie in [0, 360)")
         if self.shots < 0:
             raise ValueError("shots must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.pairs is not None:
             n = len(self.angles_deg)
             for a, b in self.pairs:

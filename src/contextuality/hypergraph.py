@@ -144,6 +144,9 @@ def validate(hypergraph: ContextHypergraph) -> ValidationReport:
 
 
 def _context_matrix(hypergraph: ContextHypergraph) -> tuple[np.ndarray, dict[str, int]]:
+    """Context-by-atom incidence rows and atom columns, after the atom cap."""
+    if len(hypergraph.atoms) > MAX_STATE_ATOMS:
+        raise ProblemTooLarge(f"{len(hypergraph.atoms)} atoms exceed {MAX_STATE_ATOMS}")
     index = {atom: k for k, atom in enumerate(hypergraph.atoms)}
     if len(index) != len(hypergraph.atoms):
         raise ValueError("duplicate atom ids; fix the hypergraph before solving")
@@ -162,10 +165,8 @@ def find_state(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> State |
     non-negativity.
 
     Raises:
-        ProblemTooLarge: more than 10**4 atoms.
+        ProblemTooLarge: more than 10**4 atoms (``_context_matrix``).
     """
-    if len(hypergraph.atoms) > MAX_STATE_ATOMS:
-        raise ProblemTooLarge(f"{len(hypergraph.atoms)} atoms exceed {MAX_STATE_ATOMS}")
     rows, index = _context_matrix(hypergraph)
     if rows.shape[0] == 0:
         return State({a: 0.0 for a in hypergraph.atoms})
@@ -188,10 +189,8 @@ def state_is_unique(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> bo
 
     Raises:
         ValueError: no state exists, so uniqueness is undefined.
-        ProblemTooLarge: more than 10**4 atoms.
+        ProblemTooLarge: more than 10**4 atoms (``_context_matrix``).
     """
-    if len(hypergraph.atoms) > MAX_STATE_ATOMS:
-        raise ProblemTooLarge(f"{len(hypergraph.atoms)} atoms exceed {MAX_STATE_ATOMS}")
     rows, _ = _context_matrix(hypergraph)
     for k in range(rows.shape[1]):
         cost = np.zeros(rows.shape[1])

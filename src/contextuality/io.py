@@ -53,6 +53,16 @@ def _data_lines(text: str, allow_comments: bool = False):
         start = end
 
 
+def _header_and_lines(path):
+    """(remaining data lines, header line number, stripped header) of a CSV file."""
+    lines = _data_lines(Path(path).read_text())
+    try:
+        header_line, header = next(lines)
+    except StopIteration:
+        raise ParseError("empty file: missing header") from None
+    return lines, header_line, header
+
+
 def _parse_bit(field: str, lineno: int, column: int) -> int:
     value = field.strip()
     if value not in _BITS:
@@ -87,11 +97,7 @@ def read_joint(path) -> JointRecordDataset:
         ParseError / NonBinaryValue / HeaderMismatch with line and field
         position.
     """
-    lines = _data_lines(Path(path).read_text())
-    try:
-        header_line, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty file: missing header") from None
+    lines, header_line, header = _header_and_lines(path)
     names = [f.strip() for f in header.split(",")]
     if any(not n for n in names):
         raise HeaderMismatch("empty observable name in header", line=header_line)
@@ -123,11 +129,7 @@ def write_joint(dataset: JointRecordDataset, path) -> None:
 def read_pairlog(path) -> PairLogDataset:
     """Parse a pair-log file; observables are collected in order of first
     appearance."""
-    lines = _data_lines(Path(path).read_text())
-    try:
-        header_line, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty file: missing header") from None
+    lines, header_line, header = _header_and_lines(path)
     fields = tuple(f.strip() for f in header.split(","))
     if fields != PAIRLOG_HEADER:
         raise HeaderMismatch(

@@ -61,6 +61,8 @@ class SamplingPlan:
         if self.num_triples is not None:
             if self.mode == "exhaustive":
                 raise ValueError("exhaustive mode visits every triple; num_triples must be unset")
+            if type(self.num_triples) is not int:
+                raise ValueError(f"num_triples must be an integer, got {self.num_triples!r}")
             if self.num_triples < 0:
                 raise ValueError("num_triples must be non-negative")
         check_tolerance("bistochastic_tol", self.bistochastic_tol)

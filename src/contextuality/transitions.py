@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import frozen_array
-from .errors import EmptyPairData, PairMismatch, ZeroConditioningRow
+from .errors import EmptyPairData, ZeroConditioningRow
 
 
 def check_tolerance(name: str, value: float, positive: bool = False) -> None:
@@ -42,9 +42,6 @@ class CountTable:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def transposed(self) -> CountTable:
-        return CountTable((self.pair[1], self.pair[0]), self.counts.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +90,6 @@ class TransitionMatrix:
     def bistochastic_deviation(self) -> float:
         """|entries[0][0] - entries[1][1]|: 0 iff the matrix is bistochastic."""
         return float(abs(self.entries[0, 0] - self.entries[1, 1]))
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Result of a two-orientation Bayes-consistency check."""
-
-    pair: tuple[str, str]
-    discrepancy: float
-    consistent: bool
-    tolerance: float
 
 
 def count_pairs(dataset, a: str, b: str) -> CountTable:
@@ -163,10 +150,12 @@ def pair_transition(
 ) -> TransitionMatrix:
     """Transition matrix P(conditioned | conditioning) from any source.
 
-    Exact models are evaluated analytically; empirical datasets are
-    counted and estimated with the given smoothing.  The result is
-    memoized on ``source.pair_statistics`` per (pair, smoothing); a pair
-    that fails is not memoized and raises again on every call.
+    Empirical datasets are counted and estimated with the given
+    smoothing.  Exact models are evaluated analytically; their smoothing
+    is checked like any other but ignored, since a pseudo-count vanishes
+    against infinitely many samples.  The result is memoized on
+    ``source.pair_statistics`` per (pair, smoothing); a pair that fails
+    is not memoized and raises again on every call.
     """
     stats = source.pair_statistics
     key = (conditioning, conditioned, smoothing)
@@ -174,6 +163,7 @@ def pair_transition(
     if found is not None:
         return found
     if stats.exact:
+        check_tolerance("smoothing", smoothing)
         ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
         if ia == ib:
             raise ValueError("pair must name two distinct observables")
@@ -189,29 +179,3 @@ def pair_transition(
         found = estimate_transition(count_pairs(source, conditioning, conditioned), smoothing)
     stats._transitions[key] = found
     return found
-
-
-def bayes_consistency(
-    t_ab: TransitionMatrix, t_ba: TransitionMatrix, tol: float = 1e-9
-) -> ConsistencyReport:
-    """Check that two orientations of a pair describe one joint distribution.
-
-    The discrepancy is max over outcomes (i, j) of
-    |P(A=i) P(B=j|A=i) - P(B=j) P(A=i|B=j)|, i.e. the largest entrywise
-    disagreement between the two implied joint tables.
-
-    Raises:
-        PairMismatch: the matrices do not cover the same unordered pair
-            in opposite orientations.
-    """
-    if t_ab.pair != (t_ba.pair[1], t_ba.pair[0]):
-        raise PairMismatch(
-            f"orientations do not match: {t_ab.pair} vs {t_ba.pair}"
-        )
-    discrepancy = float(np.abs(t_ab.joint - t_ba.joint.T).max())
-    return ConsistencyReport(
-        pair=t_ab.pair,
-        discrepancy=discrepancy,
-        consistent=discrepancy <= tol,
-        tolerance=tol,
-    )

@@ -1,10 +1,11 @@
 import hashlib
 import io
 import json
+import weakref
 
 import pytest
 
-from contextuality import SolverFailure
+from contextuality import SolverFailure, cli
 from contextuality.cli import cli_main
 
 from test_io import MALFORMED_MARGINALS
@@ -80,10 +81,13 @@ class TestGen:
         assert written == expected
 
     def test_invalid_size_is_usage_error(self, tmp_path):
-        code, _, err = run(
-            ["gen", "classical", "--t", "17", "--n", "1", "--out", str(tmp_path / "c")]
-        )
-        assert code == 1
+        for argv in (
+            ["classical", "--t", "17", "--n", "1"],
+            ["classical", "--t", "3", "--n", "1", "--seed", "-1"],
+            ["quantum", "--angles", "0,120", "--n", "1", "--seed", "-1"],
+        ):
+            code, _, err = run(["gen", *argv, "--out", str(tmp_path / "c")])
+            assert (code, err.startswith("usage error:")) == (1, True), argv
 
 
 class TestPers:
@@ -108,6 +112,24 @@ class TestPers:
     def test_missing_file_is_data_error(self, tmp_path):
         code, _, err = run(["pers", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
+
+    def test_dataset_is_freed_before_the_report_is_written(self, trine_dir, monkeypatch):
+        refs = []
+
+        def read_pairlog(path):
+            dataset = read(path)
+            refs.append(weakref.ref(dataset))
+            return dataset
+
+        def write_report(report, **kwargs):
+            assert refs and refs[0]() is None
+            return write(report, **kwargs)
+
+        read, write = cli.read_pairlog, cli.write_report
+        monkeypatch.setattr(cli, "read_pairlog", read_pairlog)
+        monkeypatch.setattr(cli, "write_report", write_report)
+        code, _, err = run(["pers", "--input", str(trine_dir / "pairs"), "--input-format", "pairlog"])
+        assert code == 0, err
 
     def test_unknown_flag_is_usage_error(self):
         code, _, err = run(["pers", "--nope"])

@@ -18,6 +18,7 @@ from contextuality import (
     decide_feasibility,
     feasibility_from_dataset,
     pair_marginal,
+    pair_transition,
 )
 from contextuality import feasibility
 from contextuality.accardi import TripleParams
@@ -71,6 +72,24 @@ class TestBuildProblem:
         problem = build_problem([forward, backward], ObservableSet.from_ids(["A", "B"]))
         assert len(problem.pair_marginals) == 1
 
+        # two independent samples of one table agree within sampling noise,
+        # and the first-listed orientation is the target
+        base = gen_classical(ClassicalModelSpec(num_observables=2, num_records=100000, seed=11))
+        rerun = gen_classical(ClassicalModelSpec(
+            num_observables=2, num_records=100000, seed=12, distribution=base.exact.probabilities
+        ))
+        forward = pair_transition(base.dataset, "x0", "x1")
+        backward = pair_transition(rerun.dataset, "x1", "x0")
+        assert 0.0 < np.abs(forward.joint - backward.joint.T).max() <= 0.02
+        obs = base.dataset.observables
+        problem = build_problem([forward, backward], obs, tolerance=0.02)
+        assert list(problem.pair_marginals) == [(0, 1)]
+        assert np.array_equal(problem.pair_marginals[(0, 1)], forward.joint)
+        problem = build_problem([backward, forward], obs, tolerance=0.02)
+        assert np.array_equal(problem.pair_marginals[(0, 1)], backward.joint.T)
+        with pytest.raises(InconsistentOrientations):
+            build_problem([forward, backward], obs)
+
     def test_inconsistent_orientations_raise(self):
         forward = TransitionMatrix(
             pair=("A", "B"), entries=np.eye(2), priors=np.array([0.5, 0.5])
@@ -80,7 +99,7 @@ class TestBuildProblem:
             entries=np.array([[0.0, 1.0], [1.0, 0.0]]),
             priors=np.array([0.5, 0.5]),
         )
-        with pytest.raises(InconsistentOrientations):
+        with pytest.raises(InconsistentOrientations, match=r"differing by 0\.5 "):
             build_problem([forward, backward], ObservableSet.from_ids(["A", "B"]))
 
 

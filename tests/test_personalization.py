@@ -75,6 +75,8 @@ class TestSampleTriples:
             ({"num_triples": -1, "mode": "with_replacement"}, "non-negative"),
             ({"num_triples": 5, "mode": "exhaustive"}, "exhaustive"),
             ({"num_triples": 0, "mode": "exhaustive"}, "exhaustive"),
+            ({"num_triples": True}, "integer"),
+            ({"num_triples": 2.5}, "integer"),
         ],
     )
     def test_plan_rejects_bad_sampling_settings_when_constructed(self, fields, message):

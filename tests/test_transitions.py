@@ -9,11 +9,9 @@ from contextuality import (
     JointRecordDataset,
     ObservableSet,
     PairLogDataset,
-    PairMismatch,
     TransitionMatrix,
     UnknownObservable,
     ZeroConditioningRow,
-    bayes_consistency,
     count_pairs,
     estimate_transition,
     feasibility_from_dataset,
@@ -119,6 +117,25 @@ class TestEstimateTransition:
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             estimate_transition(CountTable(("A", "B"), [[1, 1], [1, 1]]), smoothing=smoothing)
 
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("source", ["pairlog", "joint", "exact_joint", "exact_quantum"])
+    def test_nonsense_smoothing_rejected_on_every_source(self, source, smoothing):
+        # exact models ignore a valid smoothing, but check it like any source
+        quantum = gen_quantum(QubitModelSpec(angles_deg=(0.0, 60.0, 120.0), shots=50, seed=1))
+        classical = gen_classical(ClassicalModelSpec(num_observables=3, num_records=200, seed=1))
+        d = {
+            "pairlog": quantum.dataset, "joint": classical.dataset,
+            "exact_joint": classical.exact, "exact_quantum": quantum.exact,
+        }[source]
+        a, b, c = d.observables.ids()
+        message = "smoothing must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            pair_transition(d, a, b, smoothing)
+        with pytest.raises(ValueError, match=message):
+            triple_params(d, (a, b, c), smoothing)
+        with pytest.raises(ValueError, match=message):
+            feasibility_from_dataset(d, (a, b, c), smoothing)
+
     @given(
         counts=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
         smoothing=st.floats(0.0, 100.0, allow_nan=False),
@@ -174,84 +191,31 @@ class TestEstimateTransition:
 
 
 class TestBayesConsistency:
-    @given(counts=st.lists(st.integers(0, 10**6), min_size=4, max_size=4))
+    """P(A) P(B|A) = P(B) P(A|B): both orientations of one pair imply one joint."""
+
+    @given(
+        counts=st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+        smoothing=st.sampled_from([0.0, 0.5]),
+    )
     @settings(max_examples=500, deadline=None)
-    def test_same_joint_table_is_exactly_consistent(self, counts):
-        table = CountTable(("A", "B"), np.array(counts).reshape(2, 2))
-        rows = table.counts.sum(axis=1)
-        cols = table.counts.sum(axis=0)
-        if (rows == 0).any() or (cols == 0).any():
+    def test_same_joint_table_is_exactly_consistent(self, counts, smoothing):
+        table = np.array(counts).reshape(2, 2)
+        if smoothing == 0.0 and ((table.sum(axis=1) == 0).any() or (table.sum(axis=0) == 0).any()):
             return
-        forward = estimate_transition(table)
-        backward = estimate_transition(table.transposed())
-        report = bayes_consistency(forward, backward)
-        assert report.discrepancy == 0.0
-        assert report.consistent
+        forward = estimate_transition(CountTable(("A", "B"), table), smoothing)
+        backward = estimate_transition(CountTable(("B", "A"), table.T), smoothing)
+        assert np.array_equal(forward.joint, backward.joint.T)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_both_orientations_of_one_dataset_are_exactly_consistent(self, seed):
         rng = np.random.default_rng(seed)
         d = joint(rng.integers(0, 2, size=(40, 2)))
-        forward_counts = count_pairs(d, "A", "B")
-        if (forward_counts.counts.sum(axis=1) == 0).any():
+        counts = count_pairs(d, "A", "B").counts
+        if (counts.sum(axis=1) == 0).any() or (counts.sum(axis=0) == 0).any():
             return
-        if (forward_counts.counts.sum(axis=0) == 0).any():
-            return
-        forward = estimate_transition(forward_counts)
-        backward = estimate_transition(count_pairs(d, "B", "A"))
-        assert bayes_consistency(forward, backward).discrepancy == 0.0
-
-    def test_independent_pair_logs_agree_within_noise(self):
-        base = gen_classical(ClassicalModelSpec(num_observables=2, num_records=100000, seed=11))
-        rerun = gen_classical(
-            ClassicalModelSpec(
-                num_observables=2,
-                num_records=100000,
-                seed=12,
-                distribution=base.exact.probabilities,
-            )
-        )
-        obs = base.dataset.observables
-        n = len(base.dataset)
-        log_ab = PairLogDataset(
-            obs,
-            np.zeros(n, np.int64),
-            base.dataset.records[:, 0].astype(np.int64),
-            np.ones(n, np.int64),
-            base.dataset.records[:, 1].astype(np.int64),
-        )
-        log_ba = PairLogDataset(
-            obs,
-            np.ones(n, np.int64),
-            rerun.dataset.records[:, 1].astype(np.int64),
-            np.zeros(n, np.int64),
-            rerun.dataset.records[:, 0].astype(np.int64),
-        )
-        report = bayes_consistency(
-            pair_transition(log_ab, "x0", "x1"), pair_transition(log_ba, "x1", "x0"), tol=0.02
-        )
-        assert report.consistent
-        assert report.discrepancy <= 0.02
-
-    def test_forced_inconsistency_is_half(self):
-        identity = TransitionMatrix(
-            pair=("A", "B"), entries=np.eye(2), priors=np.array([0.5, 0.5])
-        )
-        anti = TransitionMatrix(
-            pair=("B", "A"),
-            entries=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            priors=np.array([0.5, 0.5]),
-        )
-        report = bayes_consistency(identity, anti, tol=1e-9)
-        assert report.discrepancy == pytest.approx(0.5)
-        assert not report.consistent
-
-    def test_pair_mismatch(self):
-        t1 = TransitionMatrix(pair=("A", "B"), entries=np.eye(2), priors=np.array([0.5, 0.5]))
-        t2 = TransitionMatrix(pair=("A", "C"), entries=np.eye(2), priors=np.array([0.5, 0.5]))
-        with pytest.raises(PairMismatch):
-            bayes_consistency(t1, t2)
+        forward, backward = pair_transition(d, "A", "B"), pair_transition(d, "B", "A")
+        assert np.array_equal(forward.joint, backward.joint.T)
 
 
 class TestTransitionMatrixInvariants:
