@@ -38,8 +38,21 @@ _RECORD_CHUNK = 8192  # rows per block of the joint-record Gram product
 
 
 def frozen_array(values, dtype) -> np.ndarray:
-    """An owned, read-only array; never freezes the caller's buffer."""
-    array = np.asarray(values, dtype=dtype)
+    """An owned, read-only array; never freezes the caller's buffer.  An
+    integer dtype must hold every value exactly, or ValueError is raised."""
+    array = np.asarray(values)
+    lossy = array.dtype != dtype and not np.can_cast(array.dtype, dtype)
+    if lossy and np.issubdtype(dtype, np.integer):
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail the comparison
+                cast = array.astype(dtype)
+            exact = np.array_equal(cast, array)
+        except OverflowError:  # a Python int beyond int64
+            exact = False
+        if not exact:
+            raise ValueError(f"values must be integers that fit {np.dtype(dtype)}")
+        array = cast
+    array = np.asarray(array, dtype=dtype)
     if array is values or not array.flags.owndata:
         array = array.copy()
     array.flags.writeable = False
@@ -206,6 +219,8 @@ class ExactQuantumModel:
     def __post_init__(self):
         if len(self.angles_deg) != len(self.observables):
             raise ValueError("one angle per observable required")
+        if not all(math.isfinite(angle) for angle in self.angles_deg):
+            raise ValueError(f"angles must be finite, got {self.angles_deg}")
 
     @cached_property
     def pair_statistics(self) -> PairStatistics:

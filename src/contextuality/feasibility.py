@@ -150,16 +150,16 @@ class FeasibilityResult:
 
 
 def linear_feasibility(
-    soft_rows: np.ndarray | sparse.sparray, soft_rhs: np.ndarray, eq_rows: np.ndarray | None = None,
-    eq_rhs: np.ndarray | None = None, primal_tol: float = _HIGHS_DEFAULT_PRIMAL_TOL,
+    soft_rows: np.ndarray | sparse.sparray, soft_rhs: np.ndarray,
+    primal_tol: float = _HIGHS_DEFAULT_PRIMAL_TOL,
 ) -> tuple[float, np.ndarray]:
-    """Minimize the largest deviation of soft equality constraints.
+    """The marginal problem's LP: minimize the largest soft-row deviation.
 
     Solves min t over x >= 0, t >= 0 with |soft_rows @ x - soft_rhs| <= t
-    and eq_rows @ x = eq_rhs held exactly.  ``soft_rows`` may be a dense
-    array or a scipy sparse matrix; either way the solver receives one
-    sparse constraint matrix.  Returns (optimal t, x); the solver may
-    violate any constraint of x by up to ``primal_tol``.
+    and the total-mass row sum(x) = 1, built here, held exactly.
+    ``soft_rows`` may be dense or scipy sparse; either way the solver
+    receives one sparse constraint matrix.  Returns (optimal t, x); the
+    solver may violate any constraint of x by up to ``primal_tol``.
 
     Raises:
         SolverFailure: numerical breakdown; this program is feasible and
@@ -174,15 +174,11 @@ def linear_feasibility(
     vals = np.concatenate([soft.data, -soft.data, np.full(2 * num_rows, -1.0)])
     a_ub = sparse.csr_array((vals, (rows, cols)), shape=(2 * num_rows, num_vars + 1))
     b_ub = np.concatenate([soft_rhs, -soft_rhs])
-    a_eq = b_eq = None
-    if eq_rows is not None:
-        eq_rows = np.asarray(eq_rows, dtype=np.float64)
-        a_eq = np.hstack([eq_rows, np.zeros((eq_rows.shape[0], 1))])
-        b_eq = np.asarray(eq_rhs, dtype=np.float64)
+    mass_row = np.hstack([np.ones((1, num_vars)), np.zeros((1, 1))])  # t has no mass
     cost = np.zeros(num_vars + 1)
     cost[-1] = 1.0
     result = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        cost, A_ub=a_ub, b_ub=b_ub, A_eq=mass_row, b_eq=np.array([1.0]),
         bounds=(0, None), method="highs",
         options={"presolve": False, "primal_feasibility_tolerance": primal_tol},
     )
@@ -243,12 +239,11 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     soft_rows = sparse.csr_array(
         (np.ones(columns.size), columns.ravel(), indptr), shape=(num_rows, size)
     )
-    mass_row = np.ones((1, size))
 
     # HiGHS may bend a constraint by its own tolerance; keep that well
     # inside the re-check below, never looser than the HiGHS default.
     primal_tol = min(max(problem.tolerance / 10, _HIGHS_MIN_PRIMAL_TOL), _HIGHS_DEFAULT_PRIMAL_TOL)
-    violation, x = linear_feasibility(soft_rows, soft_rhs, mass_row, np.array([1.0]), primal_tol)
+    violation, x = linear_feasibility(soft_rows, soft_rhs, primal_tol)
     if violation > problem.tolerance:
         return FeasibilityResult(feasible=False, witness=None, max_violation=violation)
 

@@ -6,7 +6,8 @@ combinatorial structure (a Greechie-style diagram / test space) on which
 classical probability may or may not survive globally:
 
 * a *state* assigns each atom a probability so that every context sums
-  to 1 (global probabilistic consistency);
+  to 1, a point of {A x = 1, 0 <= x <= 1} with A the context-by-atom
+  incidence matrix: the one LP model of every state question here;
 * a *two-valued state* assigns 0/1 with exactly one 1 per context; its
   non-existence is a Kochen-Specker-type obstruction.
 
@@ -23,7 +24,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import ProblemTooLarge, SolverFailure
-from .feasibility import linear_feasibility
 
 STATE_TOL = 1e-9
 MAX_STATE_ATOMS = 10**4
@@ -157,35 +157,33 @@ def _context_matrix(hypergraph: ContextHypergraph) -> tuple[np.ndarray, dict[str
     return rows, index
 
 
-def find_state(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> State | None:
+def find_state(hypergraph: ContextHypergraph) -> State | None:
     """A probability assignment satisfying every context sum, or None.
 
-    Solved through the same linear-feasibility contract as the marginal
-    problems: one variable per atom, one sum-to-1 constraint per context,
-    non-negativity.
+    The state LP that :func:`state_is_unique` probes, with a zero cost;
+    atoms outside every context get 0.
 
     Raises:
         ProblemTooLarge: more than 10**4 atoms (``_context_matrix``).
+        SolverFailure: the solve breaks down, or its state fails the recheck.
     """
     rows, index = _context_matrix(hypergraph)
-    if rows.shape[0] == 0:
-        return State({a: 0.0 for a in hypergraph.atoms})
-    residual, x = linear_feasibility(rows, np.ones(rows.shape[0]))
-    if residual > tol:
+    if not index:  # no atoms, so no contexts; linprog rejects a model without variables
+        return State({})
+    x = _solve_with_objective(rows, np.zeros(rows.shape[1]))
+    if x is None:
         return None
-    covered = rows.any(axis=0)
-    state = State(
-        {atom: float(x[k]) if covered[k] else 0.0 for atom, k in index.items()}
-    )
-    if not state.satisfies(hypergraph, max(tol, 10 * residual + 1e-12)):
+    x[~rows.any(axis=0)] = 0.0
+    state = State({atom: float(x[k]) for atom, k in index.items()})
+    if not state.satisfies(hypergraph):
         raise SolverFailure("solver returned a state that fails independent recheck")
     return state
 
 
-def state_is_unique(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> bool:
-    """True when exactly one state exists, up to ``tol``: each atom's least
-    and greatest value over all states agree within ``tol`` (two solves
-    per atom, stopping at the first atom that can vary).
+def state_is_unique(hypergraph: ContextHypergraph) -> bool:
+    """True when exactly one state exists, up to ``STATE_TOL``: each atom's
+    least and greatest value over all states agree within ``STATE_TOL``
+    (two solves per atom, stopping at the first atom that can vary).
 
     Raises:
         ValueError: no state exists, so uniqueness is undefined.
@@ -195,21 +193,21 @@ def state_is_unique(hypergraph: ContextHypergraph, tol: float = STATE_TOL) -> bo
     for k in range(rows.shape[1]):
         cost = np.zeros(rows.shape[1])
         cost[k] = 1.0
-        low, high = (_solve_with_objective(rows, np.ones(len(rows)), s * cost) for s in (1, -1))
+        low, high = (_solve_with_objective(rows, s * cost) for s in (1, -1))
         if low is None:
             raise ValueError("no state exists; uniqueness is undefined")
-        if high[k] - low[k] > tol:
+        if high[k] - low[k] > STATE_TOL:
             return False
     return True
 
 
-def _solve_with_objective(rows, rhs, cost) -> np.ndarray | None:
-    # state values are probabilities, so [0, 1] bounds are part of the model
-    result = linprog(cost, A_eq=rows, b_eq=rhs, bounds=(0, 1), method="highs")
+def _solve_with_objective(rows, cost) -> np.ndarray | None:
+    """A state minimizing ``cost``, or None when no state exists."""
+    result = linprog(cost, A_eq=rows, b_eq=np.ones(len(rows)), bounds=(0, 1), method="highs")
     if result.status == 2:
         return None
     if result.status != 0:
-        raise SolverFailure(f"objective probe failed: {result.message}")
+        raise SolverFailure(f"state solve failed: {result.message}")
     return result.x
 
 

@@ -65,6 +65,8 @@ class SamplingPlan:
                 raise ValueError(f"num_triples must be an integer, got {self.num_triples!r}")
             if self.num_triples < 0:
                 raise ValueError("num_triples must be non-negative")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         check_tolerance("bistochastic_tol", self.bistochastic_tol)
         check_tolerance("smoothing", self.smoothing)
         check_tolerance("feasibility tolerance", self.feasibility_tol, positive=True)

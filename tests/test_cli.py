@@ -184,6 +184,14 @@ class TestPers:
         assert (code, out) == (2, "")
         assert "num_triples" in err
 
+    def test_negative_seed_is_data_error(self, trine_dir):
+        code, out, err = run(
+            ["pers", "--input", str(trine_dir / "pairs"), "--input-format", "pairlog",
+             "--seed", "-1"]
+        )
+        assert (code, out) == (2, "")
+        assert "seed must be a non-negative integer" in err
+
     @pytest.mark.parametrize(
         "gen, pers, expected",
         [

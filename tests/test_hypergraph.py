@@ -12,6 +12,7 @@ from contextuality import (
     state_is_unique,
     validate,
 )
+from oracles import phase_one_feasible
 
 TRIANGLE = ContextHypergraph(
     atoms=("a", "b", "c"), contexts=(("a", "b"), ("b", "c"), ("c", "a"))
@@ -79,7 +80,9 @@ class TestFindState:
         h = ContextHypergraph(atoms=("a", "b"), contexts=(("a", "b"),))
         assert not state_is_unique(h)
 
-    @pytest.mark.parametrize("contexts", ["ac bc", "ab ac bd", "ab ac cd", "ab bd cd"])
+    @pytest.mark.parametrize(
+        "contexts", ["ac bc", "ab ac bd", "ab ac cd", "ab bd cd", "ab bc cd ad"]
+    )
     def test_state_segment_is_not_unique(self, contexts):
         # each has a one-parameter family of states, e.g. for "ac bc":
         # a = b = 1 - c for every c in [0, 1]
@@ -92,6 +95,11 @@ class TestFindState:
         h = ContextHypergraph(atoms=("a", "b"), contexts=(("a",), ("a", "b"), ("b",)))
         with pytest.raises(ValueError):
             state_is_unique(h)
+
+    def test_empty_hypergraph_has_the_empty_state(self):
+        h = ContextHypergraph(atoms=(), contexts=())
+        assert find_state(h) == hypergraph.State({})
+        assert state_is_unique(h)
 
     def test_infeasible_system_returns_none(self):
         # a = 1 and b = 1 contradict a + b = 1
@@ -114,6 +122,43 @@ class TestFindState:
             if enumerate_two_valued_states(h, limit=1):
                 # a two-valued state is a state, so one must be found
                 assert state is not None
+
+    def test_existence_agrees_with_the_oracle_on_random_hypergraphs(self):
+        # zero contexts and uncovered atoms included: an atom outside every
+        # context is unconstrained, and find_state gives it 0
+        rng = np.random.default_rng(11)
+        found = 0
+        for trial in range(600):
+            atoms = tuple(f"v{i}" for i in range(int(rng.integers(1, 25))))
+            contexts = []
+            for _ in range(int(rng.integers(0, 12))):
+                size = int(rng.integers(1, min(5, len(atoms)) + 1))
+                members = rng.choice(len(atoms), size=size, replace=False)
+                contexts.append(tuple(atoms[i] for i in sorted(members)))
+            h = ContextHypergraph(atoms=atoms, contexts=tuple(contexts))
+            rows, _ = hypergraph._context_matrix(h)
+            exists, _, _ = phase_one_feasible(rows, np.ones(len(rows)))
+            state = find_state(h)
+            assert (state is not None) == exists, (trial, h)
+            if state is not None:
+                found += 1
+                assert state.satisfies(h, tol=hypergraph.STATE_TOL)
+                covered = set().union(*contexts)
+                assert all(state.values[a] == 0.0 for a in atoms if a not in covered)
+        assert 0 < found < 600
+
+    @pytest.mark.parametrize(
+        "h, unique",
+        [
+            (FIVE_CYCLE, True),
+            (contingency_to_hypergraph("A", "B"), False),
+            (contingency_to_hypergraph("A", "B", split=True), False),
+            # the triangle plus an atom outside every context, free in [0, 1]
+            (ContextHypergraph(atoms=("a", "b", "c", "d"), contexts=TRIANGLE.contexts), False),
+        ],
+    )
+    def test_uniqueness_verdicts(self, h, unique):
+        assert state_is_unique(h) is unique
 
     def test_atom_cap(self):
         atoms = tuple(f"v{i}" for i in range(10001))

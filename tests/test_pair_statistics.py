@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from contextuality import (
     ContextualityError,
+    CountTable,
     EmptyPairData,
     ExactJointTable,
+    ExactQuantumModel,
     JointRecordDataset,
     ObservableSet,
     PairLogDataset,
@@ -25,6 +27,9 @@ from contextuality import (
 from contextuality import transitions
 from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 from contextuality.personalization import evaluate_triples, sample_triples
+
+
+OBS_AB = ObservableSet.from_ids(["A", "B"])
 
 
 def names(t):
@@ -170,6 +175,29 @@ class TestSelfPairs:
             PairLogDataset(obs, [0, 1], [0, 1], [1, 1], [1, 0])
         with pytest.raises(ValueError, match="pairs an observable with itself"):
             PairLogDataset.from_entries(obs, [("A", 0, "B", 1), ("A", 1, "A", 1)])
+
+
+class TestFieldChecks:
+    @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning may leak either
+    @pytest.mark.parametrize("bad", [0.7, 1.2, -1, float("nan"), 2**70])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: CountTable(("A", "B"), [[bad, 0], [1, 2]]),
+            lambda bad: PairLogDataset(OBS_AB, [bad, 1], [0, 1], [1, 0], [1, 0]),
+            lambda bad: PairLogDataset(OBS_AB, [0, 1], [0, 1], [1, 0], [bad, 0]),
+            lambda bad: JointRecordDataset(OBS_AB, [[bad, 0], [1, 1]]),
+        ],
+        ids=["counts", "pairlog-index", "pairlog-value", "records"],
+    )
+    def test_integer_fields_reject_what_they_cannot_hold(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
+
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+    def test_exact_quantum_model_rejects_non_finite_angles(self, angle):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            ExactQuantumModel(ObservableSet.from_ids(["A", "B", "C"]), (0.0, angle, 240.0))
 
 
 class TestPipelineReadsEachPairOnce:

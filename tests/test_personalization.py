@@ -77,6 +77,11 @@ class TestSampleTriples:
             ({"num_triples": 0, "mode": "exhaustive"}, "exhaustive"),
             ({"num_triples": True}, "integer"),
             ({"num_triples": 2.5}, "integer"),
+            # random.seed(-3) samples the triples of seed 3
+            ({"seed": -3}, "seed must be a non-negative integer"),
+            ({"seed": 1.5}, "seed must be a non-negative integer"),
+            ({"seed": True}, "seed must be a non-negative integer"),
+            ({"seed": "x"}, "seed must be a non-negative integer"),
         ],
     )
     def test_plan_rejects_bad_sampling_settings_when_constructed(self, fields, message):
