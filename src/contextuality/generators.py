@@ -89,8 +89,8 @@ def gen_classical(spec: ClassicalModelSpec) -> ClassicalSample:
         (f"x{i}" for i in range(t)), source=f"classical(seed={spec.seed}, T={t})"
     )
     outcomes = _rng(spec.seed, 1).choice(size, size=spec.num_records, p=table)
-    shifts = np.arange(t - 1, -1, -1)
-    records = (outcomes[:, None] >> shifts[None, :]) & 1
+    shifts = np.arange(t - 1, -1, -1, dtype=np.uint16)  # T <= 16, so outcomes fit uint16
+    records = (outcomes.astype(np.uint16)[:, None] >> shifts) & 1
     dataset = JointRecordDataset(observables, records.astype(np.uint8))
     return ClassicalSample(dataset=dataset, exact=ExactJointTable(observables, table))
 
@@ -149,14 +149,14 @@ def gen_quantum(spec: QubitModelSpec) -> QuantumSample:
         source=f"quantum(seed={spec.seed}, angles={list(spec.angles_deg)})",
     )
     pairs = spec.logged_pairs()
-    values = np.empty((2, len(pairs), spec.shots), dtype=np.int64)  # first, second
+    values = np.empty((2, len(pairs), spec.shots), dtype=np.int32)  # first, second
     for pair_number, (i, j) in enumerate(pairs):
         p_same = same_outcome_probability(spec.angles_deg[i], spec.angles_deg[j])
         rng = _rng(spec.seed, pair_number)
         a = rng.integers(0, 2, size=spec.shots)
         agree = rng.random(spec.shots) < p_same
         values[:, pair_number] = a, np.where(agree, a, 1 - a)
-    index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    index = np.array(pairs, dtype=np.int32).reshape(-1, 2)
     first_idx, second_idx = np.repeat(index, spec.shots, axis=0).T
     dataset = PairLogDataset(
         observables, first_idx, values[0].ravel(), second_idx, values[1].ravel()

@@ -119,11 +119,16 @@ def read_joint(path) -> JointRecordDataset:
 
 
 def write_joint(dataset: JointRecordDataset, path) -> None:
+    """Each block of records is written as one ASCII array: a digit at every
+    even column, then ``,`` or, at the row end, a newline."""
     with open(path, "w") as out:
         out.write(",".join(dataset.observables.ids()) + "\n")
         for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
-            block = dataset.records[start:start + _WRITE_BLOCK_ROWS].tolist()
-            out.write("".join(",".join(map(str, record)) + "\n" for record in block))
+            block = dataset.records[start:start + _WRITE_BLOCK_ROWS]
+            text = np.full((len(block), 2 * block.shape[1]), ord(","), dtype=np.uint8)
+            np.add(block, ord("0"), out=text[:, 0::2])
+            text[:, -1] = ord("\n")
+            out.write(text.tobytes().decode("ascii"))
 
 
 def read_pairlog(path) -> PairLogDataset:
@@ -161,13 +166,18 @@ def read_pairlog(path) -> PairLogDataset:
 
 
 def write_pairlog(dataset: PairLogDataset, path) -> None:
+    """Each line is a head for (first observable, value) plus a tail for
+    (second observable, value), both looked up by ``2 * index + value``."""
     ids = dataset.observables.ids()
-    columns = (dataset.first_index, dataset.first_value, dataset.second_index, dataset.second_value)
+    heads = [f"{name},{value}," for name in ids for value in (0, 1)]
+    tails = [f"{name},{value}\n" for name in ids for value in (0, 1)]
     with open(path, "w") as out:
         out.write(",".join(PAIRLOG_HEADER) + "\n")
         for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
-            rows = zip(*(column[start:start + _WRITE_BLOCK_ROWS].tolist() for column in columns))
-            out.write("".join(f"{ids[a]},{va},{ids[b]},{vb}\n" for a, va, b, vb in rows))
+            rows = slice(start, start + _WRITE_BLOCK_ROWS)
+            first = (2 * dataset.first_index[rows] + dataset.first_value[rows]).tolist()
+            second = (2 * dataset.second_index[rows] + dataset.second_value[rows]).tolist()
+            out.write("".join([heads[a] + tails[b] for a, b in zip(first, second)]))
 
 
 def read_hypergraph(path) -> ContextHypergraph:

@@ -3,12 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextuality import (
     HeaderMismatch,
+    JointRecordDataset,
     NonBinaryValue,
+    ObservableSet,
+    PairLogDataset,
     ParseError,
     SamplingPlan,
     decide_feasibility,
@@ -314,6 +317,79 @@ class TestTallyParsers:
         path.write_text("A,B,C\n\n")
         records = read_joint(path).records
         assert (records.shape, records.dtype) == ((0, 3), np.uint8)
+
+
+def reference_write_joint(dataset, path):
+    """Joint records formatted one row at a time."""
+    with open(path, "w") as out:
+        out.write(",".join(dataset.observables.ids()) + "\n")
+        for record in dataset.records.tolist():
+            out.write(",".join(map(str, record)) + "\n")
+
+
+def reference_write_pairlog(dataset, path):
+    """Pair-log entries formatted one row at a time."""
+    ids = dataset.observables.ids()
+    columns = (dataset.first_index, dataset.first_value, dataset.second_index, dataset.second_value)
+    with open(path, "w") as out:
+        out.write(",".join(formats.PAIRLOG_HEADER) + "\n")
+        for a, va, b, vb in zip(*(column.tolist() for column in columns)):
+            out.write(f"{ids[a]},{va},{ids[b]},{vb}\n")
+
+
+# ids of mixed length, some not ASCII
+OBSERVABLE_IDS = st.lists(
+    st.sampled_from(["A", "x0", "c2", "long_name", "ß", "Ω7", "观测", "é_é"]),
+    min_size=1, max_size=5, unique=True,
+).map(lambda ids: ObservableSet.from_ids(ids))
+
+
+@st.composite
+def joint_datasets(draw):
+    observables = draw(OBSERVABLE_IDS)
+    rows = draw(st.lists(joint_rows(len(observables)), max_size=40))
+    records = np.array(rows, dtype=np.uint8).reshape(-1, len(observables))
+    return JointRecordDataset(observables, records)
+
+
+@st.composite
+def pairlog_datasets(draw):
+    observables = draw(OBSERVABLE_IDS)
+    t = len(observables)
+    entries = st.tuples(st.integers(0, t - 1), st.integers(0, 1),
+                        st.integers(0, t - 1), st.integers(0, 1))
+    rows = draw(st.lists(entries.filter(lambda e: e[0] != e[2]), max_size=40 if t > 1 else 0))
+    return PairLogDataset(observables, *np.array(rows, dtype=np.int32).reshape(-1, 4).T)
+
+
+WRITE_BLOCKS = st.sampled_from([1, 2, 3, 7, 1 << 14])
+ONE_OBSERVABLE = ObservableSet.from_ids(["x0"])
+
+
+class TestBlockWriters:
+    """A block of rows is formatted at once; the bytes must be those of
+    formatting each row in turn, wherever the blocks end."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dataset=joint_datasets(), block=WRITE_BLOCKS)
+    @example(dataset=JointRecordDataset(ONE_OBSERVABLE, np.zeros((0, 1))), block=1 << 14)
+    @example(dataset=JointRecordDataset(ONE_OBSERVABLE, [[1], [0], [1]]), block=2)
+    def test_joint_matches_row_by_row(self, tmp_path_factory, dataset, block):
+        expected, got = (tmp_path_factory.getbasetemp() / name for name in ("ref_r", "got_r"))
+        reference_write_joint(dataset, expected)
+        with mock.patch.object(formats, "_WRITE_BLOCK_ROWS", block):
+            write_joint(dataset, got)
+        assert got.read_bytes() == expected.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(dataset=pairlog_datasets(), block=WRITE_BLOCKS)
+    @example(dataset=PairLogDataset(ONE_OBSERVABLE, [], [], [], []), block=1 << 14)
+    def test_pairlog_matches_row_by_row(self, tmp_path_factory, dataset, block):
+        expected, got = (tmp_path_factory.getbasetemp() / name for name in ("ref_p", "got_p"))
+        reference_write_pairlog(dataset, expected)
+        with mock.patch.object(formats, "_WRITE_BLOCK_ROWS", block):
+            write_pairlog(dataset, got)
+        assert got.read_bytes() == expected.read_bytes()
 
 
 class TestDataLines:
