@@ -48,8 +48,8 @@ from .feasibility import (
 from .generators import (
     ClassicalModelSpec,
     ClassicalSample,
-    QubitModelSpec,
     QuantumSample,
+    QubitModelSpec,
     gen_classical,
     gen_quantum,
 )
@@ -74,13 +74,7 @@ from .personalization import (
     wilson_interval,
 )
 from .reports import AnalysisReport, analyze, estimate_pers, write_report
-from .transitions import (
-    CountTable,
-    TransitionMatrix,
-    count_pairs,
-    estimate_transition,
-    pair_transition,
-)
+from .transitions import TransitionMatrix, pair_transition
 
 __version__ = "0.1.0"
 
@@ -91,7 +85,6 @@ __all__ = [
     "ClassicalSample",
     "ContextHypergraph",
     "ContextualityError",
-    "CountTable",
     "DataError",
     "EmptyPairData",
     "ExactJointTable",
@@ -107,8 +100,8 @@ __all__ = [
     "ParseError",
     "PersEstimate",
     "ProblemTooLarge",
-    "QubitModelSpec",
     "QuantumSample",
+    "QubitModelSpec",
     "SampleExceedsPopulation",
     "SamplingPlan",
     "SolverFailure",
@@ -126,11 +119,9 @@ __all__ = [
     "bistochastic_triple_problem",
     "build_problem",
     "contingency_to_hypergraph",
-    "count_pairs",
     "decide_feasibility",
     "enumerate_two_valued_states",
     "estimate_pers",
-    "estimate_transition",
     "feasibility_from_dataset",
     "find_state",
     "gen_classical",

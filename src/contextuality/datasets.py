@@ -14,8 +14,9 @@ pipelines bypass sampling noise entirely.
 
 Every source reduces to one ``PairStatistics`` array, built once on
 first use: pair counts for the empirical formats, pair probabilities for
-the exact models.  Nothing downstream reads the raw rows again, and each
-transition estimated from the array is memoized beside it.
+the exact models.  Nothing downstream reads the raw rows again, and
+``transitions.pair_transition`` estimates every source's transitions from
+the array by one formula, memoizing each beside it.
 
 Product outcomes are indexed with observable 0 as the most significant
 digit: outcome index = sum over t of value_t * n**(T-1-t).  This
@@ -210,7 +211,7 @@ class ExactQuantumModel:
 
     Both single-outcome priors are uniform and the same-outcome
     probability for directions separated by d degrees is cos^2(d/2), so
-    every pair joint is the symmetric table [[p/2, (1-p)/2], [(1-p)/2, p/2]].
+    every pair joint is ``bistochastic_pair_table(p)``.
     """
 
     observables: ObservableSet
@@ -229,7 +230,7 @@ class ExactQuantumModel:
         table = np.zeros((t, t, 2, 2))
         for a, b in itertools.permutations(range(t), 2):
             p = same_outcome_probability(self.angles_deg[a], self.angles_deg[b])
-            table[a, b] = [[p / 2.0, (1.0 - p) / 2.0], [(1.0 - p) / 2.0, p / 2.0]]
+            table[a, b] = bistochastic_pair_table(p)
         return PairStatistics(table, exact=True)
 
 
@@ -237,3 +238,9 @@ def same_outcome_probability(angle_a_deg: float, angle_b_deg: float) -> float:
     """Born-rule probability that two planar qubit measurements agree."""
     half = math.radians(angle_a_deg - angle_b_deg) / 2.0
     return math.cos(half) ** 2
+
+
+def bistochastic_pair_table(s: float) -> np.ndarray:
+    """The joint table of two binary observables with uniform priors that
+    agree with probability s: [[s/2, (1-s)/2], [(1-s)/2, s/2]]."""
+    return np.array([[s / 2.0, (1.0 - s) / 2.0], [(1.0 - s) / 2.0, s / 2.0]])

@@ -49,7 +49,7 @@ from .accardi import (
     triple_params,
 )
 from .errors import InconsistentOrientations, ProblemTooLarge, SolverFailure
-from .datasets import frozen_array
+from .datasets import bistochastic_pair_table, frozen_array
 from .observables import ObservableSet
 from .transitions import TransitionMatrix, check_tolerance
 
@@ -345,17 +345,13 @@ def bistochastic_triple_problem(
     """The uniform-prior problem for symmetric parameters (p, q, r).
 
     Pair {A,B} carries p, {B,C} carries q, {C,A} carries r; with uniform
-    priors each target is the symmetric table
-    [[s/2, (1-s)/2], [(1-s)/2, s/2]].
+    priors each target is ``bistochastic_pair_table`` of its parameter.
     """
-
-    def table(s: float) -> np.ndarray:
-        return np.array([[s / 2.0, (1.0 - s) / 2.0], [(1.0 - s) / 2.0, s / 2.0]])
-
+    ab, bc, ca = map(bistochastic_pair_table, (p, q, r))
     return JointFeasibilityProblem(
         num_observables=3,
         num_outcomes=2,
-        pair_marginals={(0, 1): table(p), (1, 2): table(q), (0, 2): table(r)},
+        pair_marginals={(0, 1): ab, (1, 2): bc, (0, 2): ca},
         tolerance=tolerance,
     )
 

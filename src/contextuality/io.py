@@ -11,7 +11,8 @@ Parsers report 1-based line and field positions on failure and ignore
 blank lines; whitespace around fields is trimmed.  Record and pair-log
 files repeat a few lines many times, so each distinct line is validated
 and converted once and the rows are gathered by one array index; an
-error names the first line that holds the bad text.
+error names the first line that holds the bad text.  The writers refuse
+an id that would not read back, before the file is opened.
 """
 
 from __future__ import annotations
@@ -118,11 +119,20 @@ def read_joint(path) -> JointRecordDataset:
     return JointRecordDataset(observables, _gather(lines, parse_row, len(names)))
 
 
+def _writable_ids(observables: ObservableSet) -> tuple[str, ...]:
+    """The ids, or ValueError naming the first that would not read back."""
+    for name in observables.ids():
+        if "," in name or name.splitlines() != [name] or name.strip() != name:
+            raise ValueError(f"observable id {name!r} would not read back as written")
+    return observables.ids()
+
+
 def write_joint(dataset: JointRecordDataset, path) -> None:
     """Each block of records is written as one ASCII array: a digit at every
     even column, then ``,`` or, at the row end, a newline."""
+    header = ",".join(_writable_ids(dataset.observables)) + "\n"
     with open(path, "w") as out:
-        out.write(",".join(dataset.observables.ids()) + "\n")
+        out.write(header)
         for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
             block = dataset.records[start:start + _WRITE_BLOCK_ROWS]
             text = np.full((len(block), 2 * block.shape[1]), ord(","), dtype=np.uint8)
@@ -168,7 +178,7 @@ def read_pairlog(path) -> PairLogDataset:
 def write_pairlog(dataset: PairLogDataset, path) -> None:
     """Each line is a head for (first observable, value) plus a tail for
     (second observable, value), both looked up by ``2 * index + value``."""
-    ids = dataset.observables.ids()
+    ids = _writable_ids(dataset.observables)
     heads = [f"{name},{value}," for name in ids for value in (0, 1)]
     tails = [f"{name},{value}\n" for name in ids for value in (0, 1)]
     with open(path, "w") as out:

@@ -1,4 +1,5 @@
-"""Pairwise counting and conditional-probability (transition) estimation.
+"""Transition probabilities P(conditioned | conditioning), estimated from
+any source's pair table by the one estimator ``pair_transition``.
 
 A transition matrix between two binary observables is row stochastic in
 general; the classicality test for triples assumes the bistochastic
@@ -22,26 +23,6 @@ def check_tolerance(name: str, value: float, positive: bool = False) -> None:
     """Raise ValueError unless ``value`` is finite and >= 0 (> 0 if ``positive``)."""
     if not ((value > 0.0 if positive else value >= 0.0) and value < math.inf):
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
-
-
-@dataclass(frozen=True, eq=False)
-class CountTable:
-    """2x2 pair counts: counts[i][j] = number of trials with A=i and B=j."""
-
-    pair: tuple[str, str]
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = frozen_array(self.counts, np.int64)
-        if counts.shape != (2, 2):
-            raise ValueError("counts must be a 2x2 table")
-        if counts.min() < 0:
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,90 +73,56 @@ class TransitionMatrix:
         return float(abs(self.entries[0, 0] - self.entries[1, 1]))
 
 
-def count_pairs(dataset, a: str, b: str) -> CountTable:
-    """Joint outcome counts of observables ``a`` and ``b``, read from the
-    dataset's pair-statistics array (pair logs: entries logged in (b, a)
-    orientation count transposed).
-
-    Raises:
-        UnknownObservable: an id is not in the dataset.
-        EmptyPairData: no records, or no logged entries for this pair.
-        TypeError: the source holds probabilities, not counts.
-    """
-    if a == b:
-        raise ValueError("pair must name two distinct observables")
-    obs = dataset.observables
-    ia, ib = obs.index_of(a), obs.index_of(b)
-    stats = dataset.pair_statistics
-    if stats.exact:
-        raise TypeError(f"cannot count pairs on {type(dataset).__name__}")
-    counts = stats.table[ia, ib]
-    if not counts.any():
-        raise EmptyPairData(f"{stats.missing} ({a!r}, {b!r})")
-    return CountTable((a, b), counts)
-
-
-def estimate_transition(counts: CountTable, smoothing: float = 0.0) -> TransitionMatrix:
-    """Estimate conditionals and priors from a pair count table.
-
-    With additive smoothing ``smoothing`` = a:
-
-        entries[i][j] = (counts[i][j] + a) / (row_i + 2a)
-        priors[i]     = (row_i + 2a) / (total + 4a)
-
-    Raises:
-        ValueError: a is negative or not finite.
-        ZeroConditioningRow: a = 0 and some conditioning outcome never
-            occurs, so the conditional is undefined.
-    """
-    check_tolerance("smoothing", smoothing)
-    table = counts.counts.astype(np.float64)
-    rows = table.sum(axis=1)
-    if smoothing == 0.0 and (rows == 0).any():
-        i = int(np.argmin(rows))
-        raise ZeroConditioningRow(
-            f"outcome {i} of {counts.pair[0]!r} never occurs; "
-            "conditionals undefined without smoothing"
-        )
-    denom_rows = rows + 2.0 * smoothing
-    denom_total = table.sum() + 4.0 * smoothing
-    entries = (table + smoothing) / denom_rows[:, None]
-    priors = denom_rows / denom_total
-    joint = (table + smoothing) / denom_total
-    return TransitionMatrix(counts.pair, entries, priors, joint)
-
-
 def pair_transition(
     source, conditioning: str, conditioned: str, smoothing: float = 0.0
 ) -> TransitionMatrix:
     """Transition matrix P(conditioned | conditioning) from any source.
 
-    Empirical datasets are counted and estimated with the given
-    smoothing.  Exact models are evaluated analytically; their smoothing
-    is checked like any other but ignored, since a pseudo-count vanishes
-    against infinitely many samples.  The result is memoized on
-    ``source.pair_statistics`` per (pair, smoothing); a pair that fails
-    is not memoized and raises again on every call.
+    One formula is applied to the pair's table J, read from
+    ``source.pair_statistics.table``, with rows = J.sum(axis=1):
+
+        entries[i][j] = (J[i][j] + a) / (rows[i] + 2a)
+        priors[i]     = (rows[i] + 2a) / total
+        joint[i][j]   = (J[i][j] + a) / total
+
+    Counted sources use a = ``smoothing`` and total = J.sum() + 4a.  Exact
+    models use a = 0 and total = 1: their smoothing is checked like any
+    other but ignored, since a pseudo-count vanishes against infinitely
+    many samples.  The result is memoized on ``source.pair_statistics``
+    per (pair, smoothing); a pair that fails is not memoized and raises
+    again on every call.
+
+    Raises:
+        ValueError: smoothing is negative or not finite, or the ids are equal.
+        UnknownObservable: an id is not in the source.
+        EmptyPairData: no records, or no logged entries, for this pair.
+        ZeroConditioningRow: a = 0 and a conditioning outcome has no weight.
     """
     stats = source.pair_statistics
     key = (conditioning, conditioned, smoothing)
     found = stats._transitions.get(key)
     if found is not None:
         return found
-    if stats.exact:
-        check_tolerance("smoothing", smoothing)
-        ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
-        if ia == ib:
-            raise ValueError("pair must name two distinct observables")
-        joint = stats.table[ia, ib]
-        rows = joint.sum(axis=1)
-        if (rows == 0).any():
-            raise ZeroConditioningRow(
-                f"outcome {int(np.argmin(rows))} of {conditioning!r} has zero probability; "
-                "conditionals undefined"
-            )
-        found = TransitionMatrix((conditioning, conditioned), joint / rows[:, None], rows, joint)
-    else:
-        found = estimate_transition(count_pairs(source, conditioning, conditioned), smoothing)
+    check_tolerance("smoothing", smoothing)
+    ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
+    if ia == ib:
+        raise ValueError("pair must name two distinct observables")
+    table = stats.table[ia, ib]
+    if not table.any():
+        raise EmptyPairData(f"{stats.missing} ({conditioning!r}, {conditioned!r})")
+    rows = table.sum(axis=1)
+    a, total = (0.0, 1.0) if stats.exact else (smoothing, table.sum() + 4.0 * smoothing)
+    if a == 0.0 and (rows == 0).any():
+        outcome = f"outcome {int(np.argmin(rows))} of {conditioning!r}"
+        raise ZeroConditioningRow(
+            f"{outcome} has zero probability; conditionals undefined" if stats.exact
+            else f"{outcome} never occurs; conditionals undefined without smoothing"
+        )
+    found = TransitionMatrix(
+        (conditioning, conditioned),
+        (table + a) / (rows + 2.0 * a)[:, None],
+        (rows + 2.0 * a) / total,
+        (table + a) / total,
+    )
     stats._transitions[key] = found
     return found

@@ -8,7 +8,6 @@ from contextuality import (
     QubitModelSpec,
     SamplingPlan,
     accardi_check,
-    count_pairs,
     estimate_pers,
     feasibility_from_dataset,
     gen_classical,
@@ -44,9 +43,9 @@ class TestClassicalGenerator:
                 distribution=np.full(8, 0.125),
             )
         )
-        for a, b in itertools.combinations(sample.dataset.observables.ids(), 2):
-            table = count_pairs(sample.dataset, a, b)
-            empirical = table.counts / table.total
+        for a, b in itertools.combinations(range(3), 2):
+            counts = sample.dataset.pair_statistics.table[a, b]
+            empirical = counts / counts.sum()
             assert np.abs(empirical - 0.25).max() < 0.01
 
     def test_exact_table_matches_empirical_frequencies(self):

@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -390,6 +391,99 @@ class TestBlockWriters:
         with mock.patch.object(formats, "_WRITE_BLOCK_ROWS", block):
             write_pairlog(dataset, got)
         assert got.read_bytes() == expected.read_bytes()
+
+
+# ids that read back, and ids holding a comma, a line break or outer whitespace
+ANY_IDS = st.lists(
+    st.one_of(
+        st.sampled_from(["A", "x0", "ß", "观测", "a b"]),
+        st.text(alphabet="ab,é \t\n\r\x0b\x0c\x1c\x85\u2028", min_size=1, max_size=3),
+    ),
+    min_size=2, max_size=4, unique=True,
+)
+
+
+@st.composite
+def joint_datasets_with_any_ids(draw):
+    ids = draw(ANY_IDS)
+    rows = draw(st.lists(joint_rows(len(ids)), max_size=5))
+    return JointRecordDataset(ObservableSet.from_ids(ids),
+                              np.array(rows, dtype=np.uint8).reshape(-1, len(ids)))
+
+
+@st.composite
+def pairlog_datasets_with_any_ids(draw):
+    """Non-empty logs whose every observable is logged, listed in order of
+    first appearance: the logs a pair-log file can describe."""
+    ids = draw(ANY_IDS)
+    t = len(ids)
+    entries = st.tuples(st.integers(0, t - 1), st.integers(0, 1),
+                        st.integers(0, t - 1), st.integers(0, 1))
+    rows = draw(st.lists(entries.filter(lambda e: e[0] != e[2]), min_size=1, max_size=5))
+    order = list(dict.fromkeys(i for a, _, b, _ in rows for i in (a, b)))
+    position = {index: k for k, index in enumerate(order)}
+    rows = [(position[a], va, position[b], vb) for a, va, b, vb in rows]
+    observables = ObservableSet.from_ids([ids[i] for i in order])
+    return PairLogDataset(observables, *np.array(rows, dtype=np.int32).reshape(-1, 4).T)
+
+
+def joint_content(dataset):
+    return dataset.observables.ids(), dataset.records.tolist()
+
+
+def pairlog_content(dataset):
+    ids = dataset.observables.ids()
+    columns = (dataset.first_index, dataset.first_value, dataset.second_index, dataset.second_value)
+    return ids, [(ids[a], va, ids[b], vb) for a, va, b, vb in zip(*(c.tolist() for c in columns))]
+
+
+def read_back(read, content, path):
+    try:
+        return content(read(path))
+    except ParseError:
+        return None
+
+
+class TestWrittenIdsReadBack:
+    """A written dataset reads back with the same ids and rows, or the writer
+    raises, naming an id, and writes no file; it raises only for ids that the
+    row-by-row formatters write into a file that does not read back."""
+
+    def check(self, path, dataset, write, reference_write, read, content):
+        path.unlink(missing_ok=True)
+        try:
+            write(dataset, path)
+        except ValueError as exc:
+            assert not path.exists()
+            assert any(repr(name) in str(exc) for name in dataset.observables.ids())
+            reference_write(dataset, path)
+            assert read_back(read, content, path) != content(dataset)
+        else:
+            assert read_back(read, content, path) == content(dataset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dataset=joint_datasets_with_any_ids())
+    def test_joint(self, tmp_path_factory, dataset):
+        path = tmp_path_factory.getbasetemp() / "ids_r"
+        self.check(path, dataset, write_joint, reference_write_joint, read_joint, joint_content)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dataset=pairlog_datasets_with_any_ids())
+    def test_pairlog(self, tmp_path_factory, dataset):
+        path = tmp_path_factory.getbasetemp() / "ids_p"
+        self.check(path, dataset, write_pairlog, reference_write_pairlog, read_pairlog,
+                   pairlog_content)
+
+    @pytest.mark.parametrize("ids", [("a,b", " c"), ("A", "B "), ("A", "x\ny"), ("A", "x\u2028")])
+    def test_refused_before_the_file_is_opened(self, tmp_path, ids):
+        observables = ObservableSet.from_ids(ids)
+        bad = next(name for name in ids if name not in ("A", "B"))
+        joint, log = tmp_path / "records", tmp_path / "pairs"
+        with pytest.raises(ValueError, match=f"observable id {re.escape(repr(bad))}"):
+            write_joint(JointRecordDataset(observables, [[0, 1]]), joint)
+        with pytest.raises(ValueError, match=f"observable id {re.escape(repr(bad))}"):
+            write_pairlog(PairLogDataset(observables, [0], [0], [1], [1]), log)
+        assert not joint.exists() and not log.exists()
 
 
 class TestDataLines:

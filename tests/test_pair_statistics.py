@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from contextuality import (
     ContextualityError,
-    CountTable,
     EmptyPairData,
     ExactJointTable,
     ExactQuantumModel,
@@ -19,9 +18,9 @@ from contextuality import (
     PairLogDataset,
     SamplingPlan,
     analyze,
-    count_pairs,
     estimate_pers,
     feasibility_from_dataset,
+    pair_transition,
     same_outcome_probability,
 )
 from contextuality import transitions
@@ -87,7 +86,7 @@ class TestArrayMatchesPerPairScan:
         dataset = JointRecordDataset(ObservableSet.from_ids(names(6)), records)
         for ia, ib in itertools.permutations(range(6), 2):
             expected = scan_joint(records, ia, ib)
-            assert count_pairs(dataset, f"o{ia}", f"o{ib}").counts.tolist() == expected.tolist()
+            assert dataset.pair_statistics.table[ia, ib].tolist() == expected.tolist()
 
     @given(log=pair_logs())
     @settings(max_examples=150, deadline=None)
@@ -96,10 +95,11 @@ class TestArrayMatchesPerPairScan:
             expected = scan_pairlog(log, ia, ib)
             assert log.pair_statistics.table[ia, ib].tolist() == expected.tolist()
             if expected.any():
-                assert count_pairs(log, f"o{ia}", f"o{ib}").counts.tolist() == expected.tolist()
+                t = pair_transition(log, f"o{ia}", f"o{ib}", smoothing=0.5)
+                assert t.joint.tolist() == ((expected + 0.5) / (expected.sum() + 2.0)).tolist()
             else:
                 with pytest.raises(EmptyPairData, match="no logged pairs for"):
-                    count_pairs(log, f"o{ia}", f"o{ib}")
+                    pair_transition(log, f"o{ia}", f"o{ib}", smoothing=0.5)
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
@@ -124,22 +124,21 @@ class TestArrayMatchesPerPairScan:
     def test_exact_sources_hold_probabilities_not_counts(self):
         exact = gen_classical(ClassicalModelSpec(num_observables=3, num_records=0)).exact
         assert exact.pair_statistics.exact
-        with pytest.raises(TypeError):
-            count_pairs(exact, "x0", "x1")
+        assert exact.pair_statistics.table.dtype == np.float64
 
 
 class TestMissingData:
     def test_empty_joint_dataset(self):
         empty = JointRecordDataset(ObservableSet.from_ids(["A", "B"]), np.zeros((0, 2)))
         with pytest.raises(EmptyPairData, match=r"no records for pair \('A', 'B'\)"):
-            count_pairs(empty, "A", "B")
+            pair_transition(empty, "A", "B")
 
     def test_missing_logged_pair(self):
         log = PairLogDataset.from_entries(
             ObservableSet.from_ids(["A", "B", "C"]), [("A", 0, "B", 1), ("C", 1, "B", 1)]
         )
         with pytest.raises(EmptyPairData, match=r"no logged pairs for \('C', 'A'\)"):
-            count_pairs(log, "C", "A")
+            pair_transition(log, "C", "A")
 
     def test_failing_pair_skips_every_triple_with_the_same_message(self):
         # (a0, a2) is never logged, and a1 = 0 is never logged with a3
@@ -183,12 +182,11 @@ class TestFieldChecks:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda bad: CountTable(("A", "B"), [[bad, 0], [1, 2]]),
             lambda bad: PairLogDataset(OBS_AB, [bad, 1], [0, 1], [1, 0], [1, 0]),
             lambda bad: PairLogDataset(OBS_AB, [0, 1], [0, 1], [1, 0], [bad, 0]),
             lambda bad: JointRecordDataset(OBS_AB, [[bad, 0], [1, 1]]),
         ],
-        ids=["counts", "pairlog-index", "pairlog-value", "records"],
+        ids=["pairlog-index", "pairlog-value", "records"],
     )
     def test_integer_fields_reject_what_they_cannot_hold(self, build, bad):
         with pytest.raises(ValueError):
@@ -215,14 +213,15 @@ class TestPipelineReadsEachPairOnce:
         return builds
 
     def spy_estimates(self, monkeypatch):
+        """The pairs whose transition is computed, not read from the memo."""
         estimated = []
-        original = transitions.estimate_transition
+        original = transitions.TransitionMatrix
 
-        def spy(counts, *args, **kwargs):
-            estimated.append(counts.pair)
-            return original(counts, *args, **kwargs)
+        def spy(pair, *args, **kwargs):
+            estimated.append(pair)
+            return original(pair, *args, **kwargs)
 
-        monkeypatch.setattr(transitions, "estimate_transition", spy)
+        monkeypatch.setattr(transitions, "TransitionMatrix", spy)
         return estimated
 
     def test_pers_builds_once_and_estimates_each_ordered_pair_once(self, monkeypatch):

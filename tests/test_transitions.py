@@ -1,24 +1,26 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextuality import (
-    CountTable,
     EmptyPairData,
+    ExactJointTable,
+    ExactQuantumModel,
     JointRecordDataset,
     ObservableSet,
     PairLogDataset,
     TransitionMatrix,
     UnknownObservable,
     ZeroConditioningRow,
-    count_pairs,
-    estimate_transition,
     feasibility_from_dataset,
     pair_transition,
     same_outcome_probability,
     triple_params,
 )
+from contextuality.datasets import PairStatistics
 from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 
 
@@ -35,58 +37,77 @@ def one_deviating_pair():
     return joint(rows, names=("A", "B", "C"))
 
 
-class TestCountPairs:
+def counted(counts, names=("A", "B")):
+    """Joint records over two observables whose pair table is ``counts``."""
+    cells = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+    return joint(np.repeat(cells, np.ravel(counts), axis=0), names)
+
+
+def pair_source(counts, names=("A", "B")):
+    """A two-observable source as every source reduces to it, its pair
+    statistics: ``counts`` is the (names[0], names[1]) table.  Cheap for
+    counts far beyond what records could hold."""
+    counts = np.asarray(counts).reshape(2, 2)
+    table = np.zeros((2, 2, 2, 2), dtype=np.int64)
+    table[0, 1], table[1, 0] = counts, counts.T
+    return SimpleNamespace(observables=ObservableSet.from_ids(names),
+                           pair_statistics=PairStatistics(table))
+
+
+def bits(matrix):
+    return [m.tobytes() for m in (matrix.entries, matrix.priors, matrix.joint)]
+
+
+class TestPairTables:
     def test_four_records_balanced(self):
         d = joint([[1, 1], [1, 0], [0, 1], [0, 0]])
-        table = count_pairs(d, "A", "B")
-        assert table.counts.tolist() == [[1, 1], [1, 1]]
-        assert table.total == 4
+        table = d.pair_statistics.table[0, 1]
+        assert table.tolist() == [[1, 1], [1, 1]]
+        assert table.sum() == 4
 
     def test_duplicated_column_counts_diagonal(self):
         rng = np.random.default_rng(3)
         col = rng.integers(0, 2, size=50)
         d = joint(np.stack([col, col], axis=1))
-        table = count_pairs(d, "A", "B")
         n1 = int(col.sum())
-        assert table.counts.tolist() == [[50 - n1, 0], [0, n1]]
+        assert d.pair_statistics.table[0, 1].tolist() == [[50 - n1, 0], [0, n1]]
 
     def test_pairlog_totals_match_generator_shots(self):
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0), shots=500, seed=7))
-        table = count_pairs(sample.dataset, "a0", "a1")
-        assert table.total == 500
+        assert sample.dataset.pair_statistics.table[0, 1].sum() == 500
 
     def test_pairlog_transposes_reversed_entries(self):
         obs = ObservableSet.from_ids(["A", "B"])
         log = PairLogDataset.from_entries(obs, [("A", 1, "B", 0), ("B", 0, "A", 1)])
-        table = count_pairs(log, "A", "B")
-        assert table.counts.tolist() == [[0, 0], [2, 0]]
+        assert log.pair_statistics.table[0, 1].tolist() == [[0, 0], [2, 0]]
 
+
+class TestPairTransition:
     def test_unknown_observable(self):
         with pytest.raises(UnknownObservable):
-            count_pairs(joint([[0, 0]]), "A", "Z")
+            pair_transition(joint([[0, 0]]), "A", "Z")
 
-    def test_empty_pair_data(self):
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_empty_pair_data(self, smoothing):
         with pytest.raises(EmptyPairData):
-            count_pairs(joint(np.zeros((0, 2))), "A", "B")
+            pair_transition(joint(np.zeros((0, 2))), "A", "B", smoothing)
         obs = ObservableSet.from_ids(["A", "B", "C"])
         log = PairLogDataset.from_entries(obs, [("A", 0, "B", 0)])
         with pytest.raises(EmptyPairData):
-            count_pairs(log, "A", "C")
+            pair_transition(log, "A", "C", smoothing)
 
     def test_same_observable_rejected(self):
-        with pytest.raises(ValueError):
-            count_pairs(joint([[0, 0]]), "A", "A")
+        with pytest.raises(ValueError, match="pair must name two distinct observables"):
+            pair_transition(joint([[0, 0]]), "A", "A")
 
-
-class TestEstimateTransition:
     def test_balanced_counts(self):
-        t = estimate_transition(CountTable(("A", "B"), [[1, 1], [1, 1]]))
+        t = pair_transition(counted([[1, 1], [1, 1]]), "A", "B")
         assert t.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]]
         assert t.symmetrized_param == 0.5
         assert t.bistochastic_deviation == 0.0
 
     def test_diagonal_counts_give_identity(self):
-        t = estimate_transition(CountTable(("A", "B"), [[7, 0], [0, 3]]))
+        t = pair_transition(counted([[7, 0], [0, 3]]), "A", "B")
         assert t.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert t.symmetrized_param == 1.0
         assert t.bistochastic_deviation == 0.0
@@ -100,22 +121,23 @@ class TestEstimateTransition:
         assert abs(t.symmetrized_param - analytic) < 0.01
 
     def test_zero_row_without_smoothing(self):
-        with pytest.raises(ZeroConditioningRow):
-            estimate_transition(CountTable(("A", "B"), [[0, 0], [1, 1]]))
+        message = "^outcome 0 of 'A' never occurs; conditionals undefined without smoothing$"
+        with pytest.raises(ZeroConditioningRow, match=message):
+            pair_transition(counted([[0, 0], [1, 1]]), "A", "B")
 
     def test_smoothing_fills_zero_rows(self):
-        t = estimate_transition(CountTable(("A", "B"), [[0, 0], [1, 1]]), smoothing=1.0)
+        t = pair_transition(counted([[0, 0], [1, 1]]), "A", "B", smoothing=1.0)
         assert t.entries[0].tolist() == [0.5, 0.5]
         assert np.isclose(t.priors.sum(), 1.0)
 
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError):
-            estimate_transition(CountTable(("A", "B"), [[1, 1], [1, 1]]), smoothing=-0.1)
+            pair_transition(counted([[1, 1], [1, 1]]), "A", "B", smoothing=-0.1)
 
     @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
     def test_nonsense_smoothing_rejected(self, smoothing):
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
-            estimate_transition(CountTable(("A", "B"), [[1, 1], [1, 1]]), smoothing=smoothing)
+            pair_transition(counted([[1, 1], [1, 1]]), "A", "B", smoothing=smoothing)
 
     @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize("source", ["pairlog", "joint", "exact_joint", "exact_quantum"])
@@ -142,29 +164,76 @@ class TestEstimateTransition:
     )
     @settings(max_examples=300, deadline=None)
     def test_rows_always_stochastic(self, counts, smoothing):
-        table = CountTable(("A", "B"), np.array(counts).reshape(2, 2))
-        rows = table.counts.sum(axis=1)
-        if smoothing == 0.0 and (rows == 0).any():
-            return
-        t = estimate_transition(table, smoothing=smoothing)
+        rows = np.array(counts).reshape(2, 2).sum(axis=1)
+        if not any(counts) or (smoothing == 0.0 and (rows == 0).any()):
+            return  # no data, or an undefined conditional
+        t = pair_transition(pair_source(counts), "A", "B", smoothing=smoothing)
         assert np.abs(t.entries.sum(axis=1) - 1.0).max() <= 1e-9
         assert abs(t.priors.sum() - 1.0) <= 1e-9
 
     @given(counts=st.lists(st.integers(1, 10**6), min_size=4, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_smoothing_limit_matches_unsmoothed(self, counts):
-        table = CountTable(("A", "B"), np.array(counts).reshape(2, 2))
-        exact = estimate_transition(table)
-        smoothed = estimate_transition(table, smoothing=1e-12)
+        source = pair_source(counts)
+        exact = pair_transition(source, "A", "B")
+        smoothed = pair_transition(source, "A", "B", smoothing=1e-12)
         assert np.abs(exact.entries - smoothed.entries).max() <= 1e-9
 
     def test_smoothed_priors_formula(self):
-        t = estimate_transition(CountTable(("A", "B"), [[3, 1], [0, 2]]), smoothing=0.5)
+        t = pair_transition(counted([[3, 1], [0, 2]]), "A", "B", smoothing=0.5)
         # priors[i] = (row_i + 2a) / (total + 4a)
         assert t.priors.tolist() == [(4 + 1.0) / 8.0, (2 + 1.0) / 8.0]
         # entries[i][j] = (c_ij + a) / (row_i + 2a)
         assert t.entries[0].tolist() == [3.5 / 5.0, 1.5 / 5.0]
         assert t.entries[1].tolist() == [0.5 / 3.0, 2.5 / 3.0]
+
+    @given(
+        counts=st.lists(st.integers(0, 50), min_size=4, max_size=4).filter(any),
+        smoothing=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counted_sources_follow_the_formula_bit_for_bit(self, counts, smoothing):
+        table = np.array(counts, dtype=np.float64).reshape(2, 2)
+        rows = table.sum(axis=1)
+        if smoothing == 0.0 and (rows == 0).any():
+            return
+        t = pair_transition(counted(counts), "A", "B", smoothing)
+        a = smoothing
+        total = table.sum() + 4.0 * a
+        assert bits(t) == [
+            ((table + a) / (rows + 2.0 * a)[:, None]).tobytes(),
+            ((rows + 2.0 * a) / total).tobytes(),
+            ((table + a) / total).tobytes(),
+        ]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        smoothing=st.floats(0.0, 100.0),
+        quantum=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_sources_ignore_smoothing_bit_for_bit(self, seed, smoothing, quantum):
+        rng = np.random.default_rng(seed)
+        obs = ObservableSet.from_ids(["x0", "x1", "x2"])
+        if quantum:
+            source = ExactQuantumModel(obs, tuple(rng.uniform(0.0, 360.0, size=3)))
+        else:
+            source = ExactJointTable(obs, rng.dirichlet(np.ones(8)))
+        for a, b in (("x0", "x1"), ("x2", "x0")):
+            unsmoothed = pair_transition(source, a, b)
+            assert bits(pair_transition(source, a, b, smoothing)) == bits(unsmoothed)
+            table = source.pair_statistics.table[int(a[1]), int(b[1])]
+            assert unsmoothed.joint.tobytes() == table.tobytes()
+            assert unsmoothed.priors.tobytes() == table.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_exact_zero_row_message(self, smoothing):
+        # x0 is always 1, so conditioning on x0 = 0 is undefined at any smoothing
+        exact = ExactJointTable(ObservableSet.from_ids(["x0", "x1"]), [0.0, 0.0, 0.25, 0.75])
+        message = "^outcome 0 of 'x0' has zero probability; conditionals undefined$"
+        with pytest.raises(ZeroConditioningRow, match=message):
+            pair_transition(exact, "x0", "x1", smoothing)
+        assert pair_transition(exact, "x1", "x0", smoothing).entries.tolist() == [[0, 1], [0, 1]]
 
     def test_uniform_marginals_give_zero_deviation(self):
         # joints built with both marginals uniform by construction
@@ -177,8 +246,6 @@ class TestEstimateTransition:
             assert t.bistochastic_deviation == 0.0
 
     def test_exact_joints_with_uniform_marginals_have_zero_deviation(self):
-        from contextuality import ExactJointTable, ObservableSet
-
         rng = np.random.default_rng(14)
         for _ in range(50):
             j00 = float(rng.uniform(0.0, 0.5))
@@ -200,10 +267,13 @@ class TestBayesConsistency:
     @settings(max_examples=500, deadline=None)
     def test_same_joint_table_is_exactly_consistent(self, counts, smoothing):
         table = np.array(counts).reshape(2, 2)
+        if not table.any():
+            return  # no data for the pair
         if smoothing == 0.0 and ((table.sum(axis=1) == 0).any() or (table.sum(axis=0) == 0).any()):
             return
-        forward = estimate_transition(CountTable(("A", "B"), table), smoothing)
-        backward = estimate_transition(CountTable(("B", "A"), table.T), smoothing)
+        source = pair_source(table)
+        forward = pair_transition(source, "A", "B", smoothing)
+        backward = pair_transition(source, "B", "A", smoothing)
         assert np.array_equal(forward.joint, backward.joint.T)
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -211,7 +281,7 @@ class TestBayesConsistency:
     def test_both_orientations_of_one_dataset_are_exactly_consistent(self, seed):
         rng = np.random.default_rng(seed)
         d = joint(rng.integers(0, 2, size=(40, 2)))
-        counts = count_pairs(d, "A", "B").counts
+        counts = d.pair_statistics.table[0, 1]
         if (counts.sum(axis=1) == 0).any() or (counts.sum(axis=0) == 0).any():
             return
         forward, backward = pair_transition(d, "A", "B"), pair_transition(d, "B", "A")
