@@ -25,9 +25,10 @@ the vertices are those of {||lambda||_1 <= 1, M^T lambda + w <= 0}.  The
 932 vertices are enumerated exactly by ``tools/gen_triple_duals.py`` and
 stored in ``triple_duals`` as one representative per relabeling orbit.
 An infeasible verdict carries the maximizing vertex as its certificate; a
-feasible one gets a closed-form witness, which is re-checked like a
-solver witness and handed to HiGHS if it fails.  Every other problem is
-solved by HiGHS.
+feasible one gets a closed-form witness from one more fixed-matrix product.
+Every other problem, and a closed-form witness that fails its re-check,
+goes to HiGHS.  Each witness is re-checked with one product against the
+problem's rows: row, mass and sign errors must stay within 2 x tolerance.
 """
 
 from __future__ import annotations
@@ -58,32 +59,6 @@ MAX_PRODUCT_OUTCOMES = 10**6
 _HIGHS_DEFAULT_PRIMAL_TOL = 1e-7  # HiGHS's primal feasibility tolerance
 _HIGHS_MIN_PRIMAL_TOL = 1e-10  # the smallest value HiGHS accepts
 _TRIPLE_KEYS = ((0, 1), (0, 2), (1, 2))
-
-
-def _expand_orbits(orbits) -> np.ndarray:
-    """Every image of the orbit representatives under the 48 relabelings of
-    a binary triple (observable orders times outcome flips), sorted."""
-    entries = [(key, i, j) for key in _TRIPLE_KEYS for i in (0, 1) for j in (0, 1)]
-    rows = np.array(orbits)
-    images = []
-    for order in itertools.permutations(range(3)):
-        for flips in itertools.product((0, 1), repeat=3):
-            target = []
-            for (a, b), i, j in entries:
-                na, nb, ni, nj = order[a], order[b], i ^ flips[a], j ^ flips[b]
-                if na > nb:
-                    na, nb, ni, nj = nb, na, nj, ni
-                target.append(entries.index(((na, nb), ni, nj)))
-            image = rows.copy()
-            image[:, target] = rows[:, :12]
-            images.append(image)
-    return np.unique(np.concatenate(images), axis=0)
-
-
-# Dual vertices (lambda_1..lambda_12, w) of the binary-triple LP, exact as
-# integers over triple_duals.SCALE.
-TRIPLE_DUAL_VERTICES = frozen_array(_expand_orbits(triple_duals.ORBITS), np.int64)
-_TRIPLE_DUALS = frozen_array(TRIPLE_DUAL_VERTICES / triple_duals.SCALE, np.float64)
 
 
 @dataclass(frozen=True)
@@ -147,6 +122,59 @@ class FeasibilityResult:
     witness: np.ndarray | None
     max_violation: float
     certificate: np.ndarray | None = None
+
+
+def _soft_rows(problem: JointFeasibilityProblem) -> tuple[sparse.csr_array, np.ndarray]:
+    """The problem's pair rows and their targets, pairs in key order:
+    row (a, b, i, j) selects the product outcomes with A_a = i and A_b = j."""
+    t, n = problem.num_observables, problem.num_outcomes
+    flat = np.arange(n**t).reshape((n,) * t)
+    keys = sorted(problem.pair_marginals)
+    columns = np.concatenate([np.moveaxis(flat, key, (0, 1)).reshape(n * n, -1) for key in keys])
+    rhs = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
+    indptr = np.arange(len(columns) + 1) * columns.shape[1]
+    rows = sparse.csr_array((np.ones(columns.size), columns.ravel(), indptr), (len(columns), n**t))
+    return rows, rhs
+
+
+def _closed_form_rows() -> tuple[np.ndarray, np.ndarray]:
+    """``_triple_witness``'s outcomes less their p012 terms: coefficients on b, constants."""
+    e = np.eye(13)  # e[k] reads target k; e[12] is the constant 1
+    t01, t02, t12 = e[:12].reshape(3, 2, 2, 13)
+    p0 = (t01[1].sum(0) + t02[1].sum(0)) / 2
+    p1 = (t01[:, 1].sum(0) + t12[1].sum(0)) / 2
+    p2 = (t02[:, 1].sum(0) + t12[:, 1].sum(0)) / 2
+    p01, p02, p12 = t01[1, 1], t02[1, 1], t12[1, 1]
+    rest = e[12] - p0 - p1 - p2 + p01 + p02 + p12  # P(0, 0, 0) + p012
+    rows = np.array([rest, p2 - p02 - p12, p1 - p01 - p12, p12, p0 - p01 - p02, p02, p01, 0 * e[0]])
+    return rows[:, :12], rows[:, 12]
+
+
+# A binary triple's incidence matrix M is the rows HiGHS gets for any such triple.
+# Outcome k of its witness is _WITNESS_FORMS[k] . b + _WITNESS_OFFSETS[k] + _P012_SIGNS[k] * p012.
+_UNIFORM_TRIPLE = JointFeasibilityProblem(3, 2, dict.fromkeys(_TRIPLE_KEYS, np.full((2, 2), 0.25)))
+_TRIPLE_INCIDENCE = frozen_array(_soft_rows(_UNIFORM_TRIPLE)[0].toarray(), np.float64)
+_WITNESS_FORMS, _WITNESS_OFFSETS = (frozen_array(part, np.float64) for part in _closed_form_rows())
+_P012_SIGNS = frozen_array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0], np.float64)
+
+
+def _expand_orbits(orbits) -> np.ndarray:
+    """Every image of the orbit representatives under the 48 relabelings of
+    a binary triple (observable orders times outcome flips), sorted.  A
+    relabeled row of M equals the one row of M it shares two outcomes with."""
+    bits = np.array(list(itertools.product((0, 1), repeat=3)))  # outcome k, observable 0 first
+    rows, images = np.array(orbits), []
+    for order in itertools.permutations(range(3)):
+        for flips in itertools.product((0, 1), repeat=3):
+            moved = _TRIPLE_INCIDENCE[:, (bits[:, order] ^ flips) @ (4, 2, 1)]
+            images.append(rows[:, [*(moved @ _TRIPLE_INCIDENCE.T).argmax(axis=1), 12]])
+    return np.unique(np.concatenate(images), axis=0)
+
+
+# Dual vertices (lambda_1..lambda_12, w) of the binary-triple LP, exact as
+# integers over triple_duals.SCALE.
+TRIPLE_DUAL_VERTICES = frozen_array(_expand_orbits(triple_duals.ORBITS), np.int64)
+_TRIPLE_DUALS = frozen_array(TRIPLE_DUAL_VERTICES / triple_duals.SCALE, np.float64)
 
 
 def linear_feasibility(
@@ -217,29 +245,19 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     if n == 2 and t == 3 and len(problem.pair_marginals) == 3:
         targets = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in _TRIPLE_KEYS])
         scores = _TRIPLE_DUALS[:, :12] @ targets + _TRIPLE_DUALS[:, 12]
-        best = int(np.argmax(scores))
+        best = int(scores.argmax())
         violation = max(float(scores[best]), 0.0)
         if violation > problem.tolerance:
             return FeasibilityResult(
                 feasible=False, witness=None, max_violation=violation,
                 certificate=_TRIPLE_DUALS[best],
             )
-        witness = _triple_witness(problem.pair_marginals)
-        if _witness_gap(witness, problem) <= 2 * problem.tolerance:
+        witness = _triple_witness(targets)
+        if _witness_gap(witness, problem, _TRIPLE_INCIDENCE, targets) <= 2 * problem.tolerance:
             return FeasibilityResult(feasible=True, witness=witness, max_violation=violation)
         # a near-boundary witness that misses: fall through to the solver
 
-    # Row (a, b, i, j) selects the product outcomes with A_a = i and A_b = j.
-    flat = np.arange(size).reshape((n,) * t)
-    keys = sorted(problem.pair_marginals)
-    columns = np.concatenate([np.moveaxis(flat, key, (0, 1)).reshape(n * n, -1) for key in keys])
-    soft_rhs = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
-    num_rows, per_row = columns.shape
-    indptr = np.arange(num_rows + 1) * per_row
-    soft_rows = sparse.csr_array(
-        (np.ones(columns.size), columns.ravel(), indptr), shape=(num_rows, size)
-    )
-
+    soft_rows, soft_rhs = _soft_rows(problem)
     # HiGHS may bend a constraint by its own tolerance; keep that well
     # inside the re-check below, never looser than the HiGHS default.
     primal_tol = min(max(problem.tolerance / 10, _HIGHS_MIN_PRIMAL_TOL), _HIGHS_DEFAULT_PRIMAL_TOL)
@@ -247,8 +265,7 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     if violation > problem.tolerance:
         return FeasibilityResult(feasible=False, witness=None, max_violation=violation)
 
-    # Independent recheck of the returned witness before certifying.
-    actual = _witness_gap(x, problem)
+    actual = _witness_gap(x, problem, soft_rows, soft_rhs)
     if actual > 2 * problem.tolerance:
         raise SolverFailure(
             f"solver reported residual {violation:g} but witness violates targets by {actual:g}"
@@ -256,44 +273,27 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     return FeasibilityResult(feasible=True, witness=x, max_violation=violation)
 
 
-def _witness_gap(witness: np.ndarray, problem: JointFeasibilityProblem) -> float:
-    """How far a witness is from a probability vector reproducing every
-    target: its worst marginal error, mass error or negative entry."""
-    t, n = problem.num_observables, problem.num_outcomes
-    gap = max(
-        float(np.abs(pair_marginal(witness, t, n, key) - table).max())
-        for key, table in problem.pair_marginals.items()
-    )
+def _witness_gap(witness: np.ndarray, problem, rows=None, rhs=None) -> float:
+    """The worst of a witness's row errors |rows @ witness - rhs|, its mass
+    error and its negative entries; the rows default to ``_soft_rows(problem)``."""
+    if rows is None:
+        rows, rhs = _soft_rows(problem)
+    gap = float(np.abs(rows @ witness - rhs).max())
     return max(gap, abs(float(witness.sum()) - 1.0), -float(witness.min()))
 
 
-def _triple_witness(tables: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """A joint distribution of three binary observables from its moments.
-
-    P(A_i = 1) is the mean of the two tables carrying observable i, the
-    pair moments are read from the tables, and the triple moment sits at
-    the midpoint of the interval that keeps all eight entries
-    non-negative.  Exact when the targets are marginals of some joint.
-    """
-    t01, t02, t12 = (tables[key] for key in _TRIPLE_KEYS)
-    p0 = (t01[1].sum() + t02[1].sum()) / 2
-    p1 = (t01[:, 1].sum() + t12[1].sum()) / 2
-    p2 = (t02[:, 1].sum() + t12[:, 1].sum()) / 2
-    p01, p02, p12 = t01[1, 1], t02[1, 1], t12[1, 1]
-    rest = 1 - p0 - p1 - p2 + p01 + p02 + p12  # P(0, 0, 0) + p012
-    low = max(0.0, p01 + p02 - p0, p01 + p12 - p1, p02 + p12 - p2)
-    high = min(p01, p02, p12, rest)
-    p012 = (low + high) / 2
-    return np.array([
-        rest - p012,  # (0, 0, 0)
-        p2 - p02 - p12 + p012,  # (0, 0, 1)
-        p1 - p01 - p12 + p012,  # (0, 1, 0)
-        p12 - p012,  # (0, 1, 1)
-        p0 - p01 - p02 + p012,  # (1, 0, 0)
-        p02 - p012,  # (1, 0, 1)
-        p01 - p012,  # (1, 1, 0)
-        p012,  # (1, 1, 1)
-    ])
+def _triple_witness(targets) -> np.ndarray:
+    """A joint distribution of three binary observables from its moments,
+    given the 12 targets b in key order or the three tables by key.  Each
+    P(A_i = 1) averages the two tables carrying A_i, and p012 sits mid-way
+    in the interval that keeps all eight entries non-negative: exact when
+    the targets are marginals of some joint."""
+    if not isinstance(targets, np.ndarray):
+        targets = np.concatenate([targets[key].reshape(-1) for key in _TRIPLE_KEYS])
+    base = _WITNESS_FORMS @ targets + _WITNESS_OFFSETS
+    v = base.tolist()  # p012 <= v[k] where it subtracts, >= -v[k] where it adds
+    p012 = (min(v[0], v[3], v[5], v[6]) - min(v[1], v[2], v[4], v[7])) / 2
+    return base + _P012_SIGNS * p012
 
 
 def build_problem(

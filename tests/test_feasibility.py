@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     InconsistentOrientations,
@@ -194,6 +196,35 @@ class TestWitnessRecheck:
         monkeypatch.setattr(feasibility, "linear_feasibility", lambda *args: (0.0, witness))
         with pytest.raises(SolverFailure, match="witness violates targets"):
             decide_feasibility(problem)
+
+    def test_witness_with_marginal_error_is_rejected(self, monkeypatch):
+        # only (A, B) is constrained; mass moved from (0,1,0) to (0,0,0) keeps
+        # the total and every sign but misses two (A, B) targets by 1e-6
+        problem = JointFeasibilityProblem(3, 2, {(0, 1): np.full((2, 2), 0.25)})
+        witness = np.full(8, 0.125)
+        witness[0] += 1e-6
+        witness[2] -= 1e-6
+        assert witness.min() > 0 and witness.sum() == pytest.approx(1.0, abs=1e-15)
+        monkeypatch.setattr(feasibility, "linear_feasibility", lambda *args: (0.0, witness))
+        with pytest.raises(SolverFailure, match="witness violates targets by 1e-06"):
+            decide_feasibility(problem)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(2, 6), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-0.1, 0.1),
+    )
+    def test_gap_matches_the_per_pair_reduction(self, t, n, seed, shift):
+        """The one-product re-check against the per-pair marginal loop it replaced."""
+        rng = np.random.default_rng(seed)
+        pairs = itertools.combinations(range(t), 2)
+        keys = [key for key in pairs if rng.random() < 0.7] or [(0, 1)]
+        tables = {key: rng.dirichlet(np.ones(n * n)).reshape(n, n) for key in keys}
+        problem = JointFeasibilityProblem(t, n, tables)
+        witness = rng.dirichlet(np.ones(n**t)) + shift * rng.random(n**t)
+        errors = [np.abs(pair_marginal(witness, t, n, key) - tables[key]).max() for key in keys]
+        reference = max(errors + [abs(witness.sum() - 1.0), -witness.min()])
+        assert abs(feasibility._witness_gap(witness, problem) - reference) <= 1e-15
 
 
 class TestSparseAssembly:

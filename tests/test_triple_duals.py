@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     JointFeasibilityProblem,
@@ -29,6 +31,8 @@ from oracles import TRIPLE_KEYS, check_triple_certificate, pair_constraint_rows,
 
 TOL = 1e-8
 OUTCOMES = list(itertools.product((0, 1), repeat=3))  # observable 0 most significant
+KINDS = ("independent", "noisy", "symmetric", "sparse")
+PARITY = np.array([(-1.0) ** sum(o) for o in OUTCOMES])  # every pair marginal of it is 0
 
 
 def incidence() -> np.ndarray:
@@ -163,6 +167,54 @@ def compare_with_highs(job) -> dict:
     return tally
 
 
+def moment_witness(tables) -> np.ndarray:
+    """The closed-form witness in scalar arithmetic, the reference for the
+    fixed-matrix ``_triple_witness``."""
+    t01, t02, t12 = (tables[key] for key in TRIPLE_KEYS)
+    p0 = (t01[1].sum() + t02[1].sum()) / 2
+    p1 = (t01[:, 1].sum() + t12[1].sum()) / 2
+    p2 = (t02[:, 1].sum() + t12[:, 1].sum()) / 2
+    p01, p02, p12 = t01[1, 1], t02[1, 1], t12[1, 1]
+    rest = 1 - p0 - p1 - p2 + p01 + p02 + p12  # P(0, 0, 0) + p012
+    low = max(0.0, p01 + p02 - p0, p01 + p12 - p1, p02 + p12 - p2)
+    high = min(p01, p02, p12, rest)
+    p012 = (low + high) / 2
+    return np.array([
+        rest - p012, p2 - p02 - p12 + p012, p1 - p01 - p12 + p012, p12 - p012,
+        p0 - p01 - p02 + p012, p02 - p012, p01 - p012, p012,
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    jitter=st.sampled_from([0.0, 1e-10]),
+)
+def test_triple_kernel_is_the_dual_argmax_and_the_closed_form(kind, seed, jitter):
+    """``jitter`` makes the tables disagree on the singles by far less than
+    the tolerance, where the closed form's averaging shows."""
+    rng = np.random.default_rng(seed)
+    tables = {
+        key: np.clip(table + jitter * rng.standard_normal((2, 2)), 0.0, None)
+        for key, table in random_tables(rng, kind).items()
+    }
+    tables = {key: table / table.sum() for key, table in tables.items()}
+    problem = JointFeasibilityProblem(3, 2, tables, tolerance=TOL)
+    result = decide_feasibility(problem)
+    b = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in TRIPLE_KEYS])
+    scores = feasibility._TRIPLE_DUALS[:, :12] @ b + feasibility._TRIPLE_DUALS[:, 12]
+    best = int(np.argmax(scores))
+    violation = max(float(scores[best]), 0.0)
+    assert result.max_violation.hex() == violation.hex()
+    assert result.feasible == (violation <= TOL)
+    if result.feasible:
+        assert result.certificate is None
+        assert np.abs(result.witness - moment_witness(problem.pair_marginals)).max() <= 1e-15
+    else:
+        assert np.array_equal(result.certificate, feasibility._TRIPLE_DUALS[best])
+
+
 def test_agrees_with_highs_on_10k_random_triples():
     kinds = ("independent", "noisy", "symmetric", "sparse")
     jobs = [(kind, 100 * k + part, 625) for k, kind in enumerate(kinds) for part in range(4)]
@@ -257,6 +309,34 @@ class TestCertificates:
         assert result.feasible and result.certificate is None
         assert not np.allclose(result.witness, 0.125)
         assert feasibility._witness_gap(result.witness, problem) <= 2 * TOL
+
+    @pytest.mark.parametrize("defect", ["negative entry", "mass"])
+    def test_witness_with_a_defect_falls_back_to_highs(self, monkeypatch, defect):
+        rng = np.random.default_rng(8)
+        joint = rng.dirichlet(np.ones(8))
+        tables = {key: pair_marginal(joint, 3, 2, key) for key in TRIPLE_KEYS}
+        problem = JointFeasibilityProblem(3, 2, tables, tolerance=TOL)
+        if defect == "negative entry":  # every pair marginal and the mass stay exact
+            witness = joint - (joint[PARITY > 0].min() + 1e-6) * PARITY
+            assert witness.min() == pytest.approx(-1e-6, abs=1e-15)
+        else:
+            witness = joint.copy()
+            witness[0] += 1e-6
+            assert witness.min() > 0
+        calls = []
+        original = feasibility.linprog
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(feasibility, "linprog", spy)
+        monkeypatch.setattr(feasibility, "_triple_witness", lambda targets: witness)
+        result = decide_feasibility(problem)
+        assert len(calls) == 1
+        assert result.feasible and result.certificate is None
+        assert feasibility._witness_gap(result.witness, problem) <= 2 * TOL
+        assert result.witness.min() >= -2 * TOL
 
     def test_solver_verdicts_carry_no_certificate(self):
         t01 = np.array([[0.5, 0.0], [0.0, 0.5]])
