@@ -26,7 +26,6 @@ from .errors import (
     DataError,
     EmptyPairData,
     HeaderMismatch,
-    InconsistentOrientations,
     NonBinaryValue,
     ParseError,
     ProblemTooLarge,
@@ -43,7 +42,6 @@ from .feasibility import (
     build_problem,
     decide_feasibility,
     feasibility_from_dataset,
-    pair_marginal,
 )
 from .generators import (
     ClassicalModelSpec,
@@ -73,7 +71,7 @@ from .personalization import (
     sample_triples,
     wilson_interval,
 )
-from .reports import AnalysisReport, analyze, estimate_pers, write_report
+from .reports import AnalysisReport, analyze, write_report
 from .transitions import TransitionMatrix, pair_transition
 
 __version__ = "0.1.0"
@@ -91,7 +89,6 @@ __all__ = [
     "ExactQuantumModel",
     "FeasibilityResult",
     "HeaderMismatch",
-    "InconsistentOrientations",
     "JointFeasibilityProblem",
     "JointRecordDataset",
     "NonBinaryValue",
@@ -121,13 +118,11 @@ __all__ = [
     "contingency_to_hypergraph",
     "decide_feasibility",
     "enumerate_two_valued_states",
-    "estimate_pers",
     "feasibility_from_dataset",
     "find_state",
     "gen_classical",
     "gen_quantum",
     "is_connected",
-    "pair_marginal",
     "pair_transition",
     "same_outcome_probability",
     "sample_triples",

@@ -3,7 +3,9 @@
 ``DataError`` subclasses signal problems with user-supplied data or
 problem sizes (CLI exit status 2); ``SolverFailure`` signals numerical
 breakdown inside a feasibility solve, which must never be confused with
-a genuine "infeasible" verdict (CLI exit status 3).
+a genuine "infeasible" verdict (CLI exit status 3).  Invalid arguments
+to a library call, such as a pair given twice to ``build_problem``,
+raise ``ValueError``, which the CLI also reports with exit status 2.
 """
 
 from __future__ import annotations
@@ -28,14 +30,6 @@ class EmptyPairData(DataError):
 class ZeroConditioningRow(DataError):
     """A conditional probability is undefined: conditioning outcome never occurs
     and no smoothing was requested."""
-
-
-class InconsistentOrientations(DataError):
-    """Both orientations of a pair were supplied and their implied joint
-    tables disagree beyond tolerance.  Surfaced, never silently averaged:
-    the disagreement is itself evidence of context dependence.  Raised
-    by ``feasibility.build_problem``, the package's one comparison of
-    two orientations."""
 
 
 class TooFewObservables(DataError):

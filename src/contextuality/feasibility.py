@@ -49,7 +49,7 @@ from .accardi import (
     accardi_check,
     triple_params,
 )
-from .errors import InconsistentOrientations, ProblemTooLarge, SolverFailure
+from .errors import ProblemTooLarge, SolverFailure
 from .datasets import bistochastic_pair_table, frozen_array
 from .observables import ObservableSet
 from .transitions import TransitionMatrix, check_tolerance
@@ -215,17 +215,6 @@ def linear_feasibility(
     return max(float(result.fun), 0.0), result.x[:num_vars]
 
 
-def pair_marginal(
-    witness: np.ndarray, num_observables: int, num_outcomes: int, pair: tuple[int, int]
-) -> np.ndarray:
-    """Marginal table of a product-space distribution for one index pair."""
-    a, b = pair
-    cube = np.asarray(witness).reshape((num_outcomes,) * num_observables)
-    axes = tuple(ax for ax in range(num_observables) if ax not in (a, b))
-    table = cube.sum(axis=axes)
-    return table if a < b else table.T
-
-
 def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     """Decide whether a single joint distribution matches all pair targets.
 
@@ -253,7 +242,7 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
                 certificate=_TRIPLE_DUALS[best],
             )
         witness = _triple_witness(targets)
-        if _witness_gap(witness, problem, _TRIPLE_INCIDENCE, targets) <= 2 * problem.tolerance:
+        if _witness_gap(witness, _TRIPLE_INCIDENCE, targets) <= 2 * problem.tolerance:
             return FeasibilityResult(feasible=True, witness=witness, max_violation=violation)
         # a near-boundary witness that misses: fall through to the solver
 
@@ -265,7 +254,7 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     if violation > problem.tolerance:
         return FeasibilityResult(feasible=False, witness=None, max_violation=violation)
 
-    actual = _witness_gap(x, problem, soft_rows, soft_rhs)
+    actual = _witness_gap(x, soft_rows, soft_rhs)
     if actual > 2 * problem.tolerance:
         raise SolverFailure(
             f"solver reported residual {violation:g} but witness violates targets by {actual:g}"
@@ -273,23 +262,19 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     return FeasibilityResult(feasible=True, witness=x, max_violation=violation)
 
 
-def _witness_gap(witness: np.ndarray, problem, rows=None, rhs=None) -> float:
+def _witness_gap(witness: np.ndarray, rows: np.ndarray | sparse.sparray, rhs: np.ndarray) -> float:
     """The worst of a witness's row errors |rows @ witness - rhs|, its mass
-    error and its negative entries; the rows default to ``_soft_rows(problem)``."""
-    if rows is None:
-        rows, rhs = _soft_rows(problem)
+    error and its negative entries."""
     gap = float(np.abs(rows @ witness - rhs).max())
     return max(gap, abs(float(witness.sum()) - 1.0), -float(witness.min()))
 
 
-def _triple_witness(targets) -> np.ndarray:
+def _triple_witness(targets: np.ndarray) -> np.ndarray:
     """A joint distribution of three binary observables from its moments,
-    given the 12 targets b in key order or the three tables by key.  Each
-    P(A_i = 1) averages the two tables carrying A_i, and p012 sits mid-way
-    in the interval that keeps all eight entries non-negative: exact when
-    the targets are marginals of some joint."""
-    if not isinstance(targets, np.ndarray):
-        targets = np.concatenate([targets[key].reshape(-1) for key in _TRIPLE_KEYS])
+    given the 12 targets b in key order.  Each P(A_i = 1) averages the two
+    tables carrying A_i, and p012 sits mid-way in the interval that keeps
+    all eight entries non-negative: exact when the targets are marginals
+    of some joint."""
     base = _WITNESS_FORMS @ targets + _WITNESS_OFFSETS
     v = base.tolist()  # p012 <= v[k] where it subtracts, >= -v[k] where it adds
     p012 = (min(v[0], v[3], v[5], v[6]) - min(v[1], v[2], v[4], v[7])) / 2
@@ -304,33 +289,23 @@ def build_problem(
     """Joint targets from transition matrices carrying priors.
 
     Each matrix contributes the pair joint J(i, j) = P(cond = i) *
-    P(other = j | cond = i) for its pair.  When both orientations of one
-    pair are supplied their implied joints must agree within tolerance,
-    and the first-listed is kept.  This is the package's one comparison
-    of two orientations: those of a single source agree exactly, as its
-    pair statistics hold table[b, a] = table[a, b].T.
+    P(other = j | cond = i) for its pair, transposed when the pair runs
+    against the observable order.  Each pair is given once: a source sums
+    both logged orientations into one pair table, so it has one joint
+    per pair, and the order of logging carries no evidence here.
 
     Raises:
-        InconsistentOrientations: the two orientations disagree beyond
-            tolerance; reported rather than averaged.
+        ValueError: a pair is given twice, in either orientation.
     """
     targets: dict[tuple[int, int], np.ndarray] = {}
-    first_seen: dict[tuple[int, int], tuple[str, str]] = {}
     for matrix in matrices:
         a, b = matrix.pair
         ia, ib = observables.index_of(a), observables.index_of(b)
         key = (ia, ib) if ia < ib else (ib, ia)
         table = matrix.joint if ia < ib else matrix.joint.T
         if key in targets:
-            gap = float(np.abs(targets[key] - table).max())
-            if gap > tolerance:
-                raise InconsistentOrientations(
-                    f"orientations {first_seen[key]} and {matrix.pair} imply joint "
-                    f"tables differing by {gap:g} (> {tolerance:g})"
-                )
-            continue  # keep the first-listed orientation
+            raise ValueError(f"pair {matrix.pair} is given more than once")
         targets[key] = table
-        first_seen[key] = matrix.pair
     return JointFeasibilityProblem(
         num_observables=len(observables),
         num_outcomes=2,

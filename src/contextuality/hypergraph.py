@@ -244,10 +244,10 @@ def enumerate_two_valued_states(
     def search(ci: int, true: frozenset[str], false: frozenset[str]):
         if limit is not None and len(found) >= limit:
             return
+        while ci < len(contexts) and contexts[ci] & true:
+            ci += 1  # already satisfied: the depth grows only with true atoms
         if ci == len(contexts):
             found.append(true)
-        elif contexts[ci] & true:
-            search(ci + 1, true, false)
         else:
             for chosen in sorted(contexts[ci] - false):
                 search(ci + 1, true | {chosen}, false | neighbours[chosen])

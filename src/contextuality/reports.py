@@ -52,11 +52,6 @@ def analyze(source, plan: SamplingPlan) -> AnalysisReport:
     )
 
 
-def estimate_pers(source, plan: SamplingPlan) -> PersEstimate:
-    """The tallied ratios of ``analyze``."""
-    return analyze(source, plan).pers
-
-
 def _sig(x: float) -> float:
     """Quantize to 12 significant digits for byte-stable serialization."""
     return float(f"{float(x):.12g}")

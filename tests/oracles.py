@@ -105,6 +105,15 @@ def oracle_decide(problem) -> bool:
     return feasible
 
 
+def pair_marginal(witness, num_observables, num_outcomes, pair):
+    """Marginal table of a product-space distribution for one index pair."""
+    a, b = pair
+    cube = np.asarray(witness).reshape((num_outcomes,) * num_observables)
+    axes = tuple(ax for ax in range(num_observables) if ax not in (a, b))
+    table = cube.sum(axis=axes)
+    return table if a < b else table.T
+
+
 TRIPLE_KEYS = ((0, 1), (0, 2), (1, 2))
 
 

@@ -21,13 +21,14 @@ from contextuality import (
     decide_feasibility,
     enumerate_two_valued_states,
     find_state,
-    pair_marginal,
     pair_transition,
 )
 from contextuality.cli import cli_main
 from contextuality.feasibility import JointFeasibilityProblem
 from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 from contextuality.personalization import evaluate_triples, sample_triples, summarize
+
+from oracles import pair_marginal
 
 GRID = np.linspace(0.0, 1.0, 21)
 SLACK_BAND = 1e-6

@@ -380,6 +380,16 @@ class TestGreechie:
         assert "states: exists" in out
         assert "two-valued states: 0" in out
 
+    def test_star_of_1953_contexts(self, tmp_path):
+        # contexts {a0, ai, aj}; each one a0 satisfies is skipped without recursing
+        path = tmp_path / "star.gh"
+        lines = [f"atom a{i}" for i in range(64)]
+        lines += [f"context a0 a{i} a{j}" for i in range(1, 64) for j in range(i + 1, 64)]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["greechie", str(path)])
+        assert code == 0, err
+        assert out == "states: exists\ntwo-valued states: 1\nconnected: yes\n"
+
     def test_invalid_structure_reported(self, tmp_path):
         path = tmp_path / "h.gh"
         path.write_text("atom a\natom b\natom c\ncontext a b\ncontext a b c\n")

@@ -8,7 +8,7 @@ from contextuality import (
     QubitModelSpec,
     SamplingPlan,
     accardi_check,
-    estimate_pers,
+    analyze,
     feasibility_from_dataset,
     gen_classical,
     gen_quantum,
@@ -58,7 +58,7 @@ class TestClassicalGenerator:
         # every exact-mode classical source has pers_lp = 0, for all T <= 6
         for t in (3, 4, 5, 6):
             sample = gen_classical(ClassicalModelSpec(num_observables=t, num_records=0, seed=t))
-            estimate = estimate_pers(sample.exact, SamplingPlan(mode="exhaustive"))
+            estimate = analyze(sample.exact, SamplingPlan(mode="exhaustive")).pers
             assert estimate.pers_lp == 0.0
             assert estimate.violations == (0, 0)
 

@@ -229,6 +229,21 @@ class TestTwoValuedStates:
             )
             assert (find_state(h) is None) == (find_state(relabeled) is None)
 
+    def test_long_runs_of_satisfied_contexts_do_not_recurse(self):
+        # 1,953 contexts {a0, ai, aj}: a0 true satisfies them all, and every
+        # choice with a0 false dies; 1,200 copies of one context stay two states
+        atoms = tuple(f"a{i}" for i in range(64))
+        star = ContextHypergraph(
+            atoms=atoms,
+            contexts=tuple(("a0", a, b) for i, a in enumerate(atoms[1:], 1) for b in atoms[i + 1:]),
+        )
+        assert len(star.contexts) == 1953 and validate(star).ok
+        states = enumerate_two_valued_states(star)
+        assert [s.values for s in states] == [{a: int(a == "a0") for a in atoms}]
+        copies = ContextHypergraph(atoms=("a", "b"), contexts=(("a", "b"),) * 1200)
+        states = enumerate_two_valued_states(copies)
+        assert [s.values for s in states] == [{"a": 0, "b": 1}, {"a": 1, "b": 0}]
+
     def test_enumeration_cap(self):
         atoms = tuple(f"v{i}" for i in range(65))
         h = ContextHypergraph(atoms=atoms, contexts=(atoms,))

@@ -18,7 +18,6 @@ from contextuality import (
     PairLogDataset,
     SamplingPlan,
     analyze,
-    estimate_pers,
     feasibility_from_dataset,
     pair_transition,
     same_outcome_probability,
@@ -243,7 +242,7 @@ class TestPipelineReadsEachPairOnce:
                                             shots=300, seed=4))
         observables = sample.dataset.observables
         for tol in (0.01, 0.2):
-            estimate_pers(sample.dataset, SamplingPlan(mode="exhaustive", bistochastic_tol=tol))
+            analyze(sample.dataset, SamplingPlan(mode="exhaustive", bistochastic_tol=tol)).pers
         needed = {pair for a, b, c in sample_triples(observables, SamplingPlan(mode="exhaustive"))
                   for pair in ((b, a), (c, b), (a, c))}
         assert sorted(estimated) == sorted(needed)

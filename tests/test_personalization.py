@@ -12,7 +12,7 @@ from contextuality import (
     SampleExceedsPopulation,
     SamplingPlan,
     TooFewObservables,
-    estimate_pers,
+    analyze,
     sample_triples,
     wilson_interval,
 )
@@ -119,7 +119,7 @@ class TestEstimatePers:
         col = rng.integers(0, 2, size=100)
         records = np.stack([col, col, col, col], axis=1)
         dataset = JointRecordDataset(observable_set(4), records.astype(np.uint8))
-        estimate = estimate_pers(dataset, SamplingPlan(mode="exhaustive"))
+        estimate = analyze(dataset, SamplingPlan(mode="exhaustive")).pers
         assert estimate.applicable == 4
         assert estimate.pers_accardi == 0.0
         assert estimate.pers_lp == 0.0
@@ -132,7 +132,7 @@ class TestEstimatePers:
             SamplingPlan(num_triples=30, mode="with_replacement", seed=77),
         ]
         for plan in plans:
-            estimate = estimate_pers(sample.exact, plan)
+            estimate = analyze(sample.exact, plan).pers
             assert estimate.pers_lp == 0.0
             assert estimate.violations == (0, 0)
 
@@ -140,7 +140,7 @@ class TestEstimatePers:
         sample = gen_quantum(
             QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
         )
-        estimate = estimate_pers(sample.dataset, SamplingPlan(mode="exhaustive"))
+        estimate = analyze(sample.dataset, SamplingPlan(mode="exhaustive")).pers
         assert estimate.sampled == 1
         assert estimate.applicable == 1
         assert estimate.pers_accardi == 1.0
@@ -152,7 +152,7 @@ class TestEstimatePers:
                 angles_deg=(0.0, 90.0, 180.0), shots=100, seed=1, pairs=((0, 1), (1, 2))
             )
         )
-        estimate = estimate_pers(sample.dataset, SamplingPlan(mode="exhaustive"))
+        estimate = analyze(sample.dataset, SamplingPlan(mode="exhaustive")).pers
         assert estimate.sampled == 1
         assert estimate.skipped == 1
         assert estimate.decided == 0
@@ -160,15 +160,15 @@ class TestEstimatePers:
     def test_bitwise_determinism_across_runs(self):
         sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=5000, seed=3))
         plan = SamplingPlan(num_triples=15, seed=5)
-        results = [estimate_pers(sample.dataset, plan) for _ in range(3)]
+        results = [analyze(sample.dataset, plan).pers for _ in range(3)]
         assert results[0] == results[1] == results[2]
 
     def test_with_replacement_matches_exhaustive_within_three_halfwidths(self):
         sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=0, seed=3))
-        exhaustive = estimate_pers(sample.exact, SamplingPlan(mode="exhaustive"))
-        drawn = estimate_pers(
+        exhaustive = analyze(sample.exact, SamplingPlan(mode="exhaustive")).pers
+        drawn = analyze(
             sample.exact, SamplingPlan(num_triples=10000, mode="with_replacement", seed=9),
-        )
+        ).pers
         for attr in ("pers_lp", "pers_accardi"):
             point = getattr(drawn, attr)
             ci = drawn.ci95_lp if attr == "pers_lp" else drawn.ci95_accardi

@@ -22,12 +22,13 @@ from contextuality import (
     analyze,
     bistochastic_triple_problem,
     decide_feasibility,
-    pair_marginal,
 )
 from contextuality import feasibility, triple_duals
 from contextuality.generators import QubitModelSpec, gen_quantum
 
-from oracles import TRIPLE_KEYS, check_triple_certificate, pair_constraint_rows, triple_rows
+from oracles import (
+    TRIPLE_KEYS, check_triple_certificate, pair_constraint_rows, pair_marginal, triple_rows,
+)
 
 TOL = 1e-8
 OUTCOMES = list(itertools.product((0, 1), repeat=3))  # observable 0 most significant
@@ -161,7 +162,7 @@ def compare_with_highs(job) -> dict:
         tally["disagree"] += result.feasible != (violation <= TOL)
         tally["worst_gap"] = max(tally["worst_gap"], abs(result.max_violation - violation))
         if result.feasible:
-            assert feasibility._witness_gap(result.witness, problem) <= 2 * TOL
+            assert feasibility._witness_gap(result.witness, m, b) <= 2 * TOL
         else:
             check_triple_certificate(problem, result)
     return tally
@@ -303,12 +304,12 @@ class TestCertificates:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(feasibility, "linprog", spy)
-        monkeypatch.setattr(feasibility, "_triple_witness", lambda tables: np.full(8, 0.125))
+        monkeypatch.setattr(feasibility, "_triple_witness", lambda targets: np.full(8, 0.125))
         result = decide_feasibility(problem)
         assert len(calls) == 1
         assert result.feasible and result.certificate is None
         assert not np.allclose(result.witness, 0.125)
-        assert feasibility._witness_gap(result.witness, problem) <= 2 * TOL
+        assert feasibility._witness_gap(result.witness, *triple_rows(problem)) <= 2 * TOL
 
     @pytest.mark.parametrize("defect", ["negative entry", "mass"])
     def test_witness_with_a_defect_falls_back_to_highs(self, monkeypatch, defect):
@@ -335,7 +336,7 @@ class TestCertificates:
         result = decide_feasibility(problem)
         assert len(calls) == 1
         assert result.feasible and result.certificate is None
-        assert feasibility._witness_gap(result.witness, problem) <= 2 * TOL
+        assert feasibility._witness_gap(result.witness, *triple_rows(problem)) <= 2 * TOL
         assert result.witness.min() >= -2 * TOL
 
     def test_solver_verdicts_carry_no_certificate(self):
@@ -354,7 +355,8 @@ def test_closed_form_witness_is_exact_for_joint_marginals():
     for _ in range(200):
         joint = rng.dirichlet(np.ones(8))
         tables = {key: pair_marginal(joint, 3, 2, key) for key in TRIPLE_KEYS}
-        witness = feasibility._triple_witness(tables)
+        targets = np.concatenate([tables[key].reshape(-1) for key in TRIPLE_KEYS])
+        witness = feasibility._triple_witness(targets)
         for key, table in tables.items():
             assert np.abs(pair_marginal(witness, 3, 2, key) - table).max() <= 1e-15
         assert witness.min() >= 0.0
