@@ -18,11 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .accardi import DEFAULT_BISTOCHASTIC_TOL
 from .datasets import same_outcome_probability
-from .errors import DataError, SolverFailure
+from .errors import DataError, ParseError, SolverFailure
 from .feasibility import DEFAULT_FEASIBILITY_TOL, decide_feasibility, feasibility_from_dataset
 from .generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 from .hypergraph import enumerate_two_valued_states, find_state, is_connected, validate
@@ -200,7 +198,10 @@ def _cmd_greechie(args, out) -> int:
 def _cmd_gen_classical(args, out) -> int:
     table = None
     if args.table is not None:
-        table = np.asarray(json.loads(args.table.read_text()), dtype=np.float64)
+        table = json.loads(args.table.read_text())
+        # types are checked, not coerced: JSON true/false decode to bool
+        if type(table) is not list or not all(type(v) in (int, float) for v in table):
+            raise ParseError(f"{args.table}: --table must be a JSON array of numbers")
     try:
         spec = ClassicalModelSpec(
             num_observables=args.t, num_records=args.n, seed=args.seed, distribution=table
@@ -234,6 +235,8 @@ def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_gen_quantum(args, out) -> int:
+    if args.n < 1:  # a log with no entries would not read back
+        raise _UsageError(f"--n must be at least 1, got {args.n}")
     try:
         angles = tuple(float(a) for a in args.angles.split(","))
     except ValueError:

@@ -3,8 +3,9 @@
 Given target joint tables for pairs of observables, the question is
 whether a non-negative probability vector over the full product sample
 space (n outcomes per observable, n**T points) reproduces every pair
-marginal.  This is decided by a phase-one style solve that minimizes the
-largest entrywise deviation t:
+marginal.  Row (a, b, i, j) of the outcome table, which the solver and
+every witness re-check read, lists the outcomes with A_a = i and A_b = j.
+A phase-one style solve minimizes the largest entrywise deviation t:
 
     minimize t  subject to  |marginal(x) - target| <= t  entrywise,
                             sum(x) = 1, x >= 0, t >= 0.
@@ -27,8 +28,8 @@ stored in ``triple_duals`` as one representative per relabeling orbit.
 An infeasible verdict carries the maximizing vertex as its certificate; a
 feasible one gets a closed-form witness from one more fixed-matrix product.
 Every other problem, and a closed-form witness that fails its re-check,
-goes to HiGHS.  Each witness is re-checked with one product against the
-problem's rows: row, mass and sign errors must stay within 2 x tolerance.
+goes to HiGHS.  A witness passes its re-check when its row, mass and
+sign errors all stay within 2 x tolerance.
 """
 
 from __future__ import annotations
@@ -124,17 +125,11 @@ class FeasibilityResult:
     certificate: np.ndarray | None = None
 
 
-def _soft_rows(problem: JointFeasibilityProblem) -> tuple[sparse.csr_array, np.ndarray]:
-    """The problem's pair rows and their targets, pairs in key order:
-    row (a, b, i, j) selects the product outcomes with A_a = i and A_b = j."""
-    t, n = problem.num_observables, problem.num_outcomes
+def _pair_outcomes(t: int, n: int, keys) -> np.ndarray:
+    """The outcome table: row (a, b, i, j), pairs in the order of ``keys``,
+    lists the product outcomes with A_a = i and A_b = j in ascending order."""
     flat = np.arange(n**t).reshape((n,) * t)
-    keys = sorted(problem.pair_marginals)
-    columns = np.concatenate([np.moveaxis(flat, key, (0, 1)).reshape(n * n, -1) for key in keys])
-    rhs = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
-    indptr = np.arange(len(columns) + 1) * columns.shape[1]
-    rows = sparse.csr_array((np.ones(columns.size), columns.ravel(), indptr), (len(columns), n**t))
-    return rows, rhs
+    return np.concatenate([np.moveaxis(flat, key, (0, 1)).reshape(n * n, -1) for key in keys])
 
 
 def _closed_form_rows() -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +145,9 @@ def _closed_form_rows() -> tuple[np.ndarray, np.ndarray]:
     return rows[:, :12], rows[:, 12]
 
 
-# A binary triple's incidence matrix M is the rows HiGHS gets for any such triple.
+# A binary triple's outcome table, the rows of its incidence matrix M.
 # Outcome k of its witness is _WITNESS_FORMS[k] . b + _WITNESS_OFFSETS[k] + _P012_SIGNS[k] * p012.
-_UNIFORM_TRIPLE = JointFeasibilityProblem(3, 2, dict.fromkeys(_TRIPLE_KEYS, np.full((2, 2), 0.25)))
-_TRIPLE_INCIDENCE = frozen_array(_soft_rows(_UNIFORM_TRIPLE)[0].toarray(), np.float64)
+_TRIPLE_OUTCOMES = frozen_array(_pair_outcomes(3, 2, _TRIPLE_KEYS), np.int64)
 _WITNESS_FORMS, _WITNESS_OFFSETS = (frozen_array(part, np.float64) for part in _closed_form_rows())
 _P012_SIGNS = frozen_array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0], np.float64)
 
@@ -162,12 +156,13 @@ def _expand_orbits(orbits) -> np.ndarray:
     """Every image of the orbit representatives under the 48 relabelings of
     a binary triple (observable orders times outcome flips), sorted.  A
     relabeled row of M equals the one row of M it shares two outcomes with."""
+    incidence = np.eye(8)[_TRIPLE_OUTCOMES].sum(axis=1)  # M, each row two unit rows
     bits = np.array(list(itertools.product((0, 1), repeat=3)))  # outcome k, observable 0 first
     rows, images = np.array(orbits), []
     for order in itertools.permutations(range(3)):
         for flips in itertools.product((0, 1), repeat=3):
-            moved = _TRIPLE_INCIDENCE[:, (bits[:, order] ^ flips) @ (4, 2, 1)]
-            images.append(rows[:, [*(moved @ _TRIPLE_INCIDENCE.T).argmax(axis=1), 12]])
+            moved = incidence[:, (bits[:, order] ^ flips) @ (4, 2, 1)]
+            images.append(rows[:, [*(moved @ incidence.T).argmax(axis=1), 12]])
     return np.unique(np.concatenate(images), axis=0)
 
 
@@ -178,30 +173,28 @@ _TRIPLE_DUALS = frozen_array(TRIPLE_DUAL_VERTICES / triple_duals.SCALE, np.float
 
 
 def linear_feasibility(
-    soft_rows: np.ndarray | sparse.sparray, soft_rhs: np.ndarray,
-    primal_tol: float = _HIGHS_DEFAULT_PRIMAL_TOL,
+    outcomes: np.ndarray, targets: np.ndarray, primal_tol: float
 ) -> tuple[float, np.ndarray]:
-    """The marginal problem's LP: minimize the largest soft-row deviation.
+    """The marginal problem's LP: minimize the largest pair-row deviation.
 
-    Solves min t over x >= 0, t >= 0 with |soft_rows @ x - soft_rhs| <= t
-    and the total-mass row sum(x) = 1, built here, held exactly.
-    ``soft_rows`` may be dense or scipy sparse; either way the solver
-    receives one sparse constraint matrix.  Returns (optimal t, x); the
-    solver may violate any constraint of x by up to ``primal_tol``.
+    R's 0/1 row k sums the outcomes that row k of ``outcomes`` lists.
+    Solves min t over x >= 0 with |R x - targets| <= t, from one CSR block
+    A_ub = [R, -1; -R, -1], and sum(x) = 1 held exactly.  Returns
+    (optimal t, x); x may miss any constraint by up to ``primal_tol``.
 
     Raises:
         SolverFailure: numerical breakdown; this program is feasible and
             bounded by construction, so any solver failure is numerical.
     """
-    soft_rhs = np.asarray(soft_rhs, dtype=np.float64)
-    soft = sparse.coo_array(soft_rows, dtype=np.float64)
-    num_rows, num_vars = soft.shape
-    # rows [soft_rows, -1] then [-soft_rows, -1]; the last column is t
-    rows = np.concatenate([soft.row, soft.row + num_rows, np.arange(2 * num_rows)])
-    cols = np.concatenate([soft.col, soft.col, np.full(2 * num_rows, num_vars)])
-    vals = np.concatenate([soft.data, -soft.data, np.full(2 * num_rows, -1.0)])
-    a_ub = sparse.csr_array((vals, (rows, cols)), shape=(2 * num_rows, num_vars + 1))
-    b_ub = np.concatenate([soft_rhs, -soft_rhs])
+    num_rows, width = outcomes.shape
+    num_vars = int(outcomes.max()) + 1  # each pair's rows list every outcome once
+    indices = np.tile(np.hstack([outcomes, np.full((num_rows, 1), num_vars)]), (2, 1))
+    data = np.ones(indices.shape)
+    data[num_rows:] = -1.0
+    data[:, width] = -1.0
+    indptr = np.arange(2 * num_rows + 1) * (width + 1)
+    a_ub = sparse.csr_array((data.ravel(), indices.ravel(), indptr), (2 * num_rows, num_vars + 1))
+    b_ub = np.concatenate([targets, -targets])
     mass_row = np.hstack([np.ones((1, num_vars)), np.zeros((1, 1))])  # t has no mass
     cost = np.zeros(num_vars + 1)
     cost[-1] = 1.0
@@ -231,8 +224,9 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
         witness = np.full(size, 1.0 / size)
         return FeasibilityResult(feasible=True, witness=witness, max_violation=0.0)
 
-    if n == 2 and t == 3 and len(problem.pair_marginals) == 3:
-        targets = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in _TRIPLE_KEYS])
+    keys = sorted(problem.pair_marginals)
+    targets = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
+    if n == 2 and t == 3 and len(keys) == 3:  # keys == _TRIPLE_KEYS
         scores = _TRIPLE_DUALS[:, :12] @ targets + _TRIPLE_DUALS[:, 12]
         best = int(scores.argmax())
         violation = max(float(scores[best]), 0.0)
@@ -242,19 +236,19 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
                 certificate=_TRIPLE_DUALS[best],
             )
         witness = _triple_witness(targets)
-        if _witness_gap(witness, _TRIPLE_INCIDENCE, targets) <= 2 * problem.tolerance:
+        if _witness_gap(witness, _TRIPLE_OUTCOMES, targets) <= 2 * problem.tolerance:
             return FeasibilityResult(feasible=True, witness=witness, max_violation=violation)
         # a near-boundary witness that misses: fall through to the solver
 
-    soft_rows, soft_rhs = _soft_rows(problem)
+    outcomes = _pair_outcomes(t, n, keys)
     # HiGHS may bend a constraint by its own tolerance; keep that well
     # inside the re-check below, never looser than the HiGHS default.
     primal_tol = min(max(problem.tolerance / 10, _HIGHS_MIN_PRIMAL_TOL), _HIGHS_DEFAULT_PRIMAL_TOL)
-    violation, x = linear_feasibility(soft_rows, soft_rhs, primal_tol)
+    violation, x = linear_feasibility(outcomes, targets, primal_tol)
     if violation > problem.tolerance:
         return FeasibilityResult(feasible=False, witness=None, max_violation=violation)
 
-    actual = _witness_gap(x, soft_rows, soft_rhs)
+    actual = _witness_gap(x, outcomes, targets)
     if actual > 2 * problem.tolerance:
         raise SolverFailure(
             f"solver reported residual {violation:g} but witness violates targets by {actual:g}"
@@ -262,10 +256,10 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     return FeasibilityResult(feasible=True, witness=x, max_violation=violation)
 
 
-def _witness_gap(witness: np.ndarray, rows: np.ndarray | sparse.sparray, rhs: np.ndarray) -> float:
-    """The worst of a witness's row errors |rows @ witness - rhs|, its mass
-    error and its negative entries."""
-    gap = float(np.abs(rows @ witness - rhs).max())
+def _witness_gap(witness: np.ndarray, outcomes: np.ndarray, rhs: np.ndarray) -> float:
+    """The worst of a witness's row errors (its mass on each row of the
+    outcome table less the target), its mass error and its negative entries."""
+    gap = float(np.abs(witness[outcomes].sum(axis=1) - rhs).max())
     return max(gap, abs(float(witness.sum()) - 1.0), -float(witness.min()))
 
 

@@ -35,8 +35,8 @@ class TransitionMatrix:
         entries: 2x2 row-stochastic matrix.
         priors: P(conditioning = 0), P(conditioning = 1).
         joint: 2x2 table priors[i] * entries[i][j] = P(A=i and B=j).
-            Materialized so that downstream consistency checks and joint
-            targets use one rounding of the underlying ratios.
+            ``pair_transition`` passes (J + a) / total, rounded once: it is
+            the LP target, and priors x entries would change the report bytes.
     """
 
     pair: tuple[str, str]

@@ -114,6 +114,13 @@ def pair_marginal(witness, num_observables, num_outcomes, pair):
     return table if a < b else table.T
 
 
+def witness_gap(witness, rows, rhs):
+    """The worst of a witness's errors on dense rows, its mass error and
+    its negative entries."""
+    errors = np.abs(np.asarray(rows) @ witness - rhs)
+    return max(float(errors.max()), abs(float(witness.sum()) - 1.0), -float(witness.min()))
+
+
 TRIPLE_KEYS = ((0, 1), (0, 2), (1, 2))
 
 

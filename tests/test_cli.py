@@ -58,6 +58,26 @@ class TestGen:
         lines = (tmp_path / "c" / "records").read_text().splitlines()
         assert lines[1:] == ["1,1"] * 10
 
+    @pytest.mark.parametrize("content", ['{"a": 1}', "[true, false]", '["0.5", "0.5"]'])
+    def test_classical_table_entries_are_checked_not_coerced(self, tmp_path, content):
+        table_file = tmp_path / "table.json"
+        table_file.write_text(content)
+        code, _, err = run(
+            ["gen", "classical", "--t", "1", "--n", "10", "--table", str(table_file),
+             "--out", str(tmp_path / "c")]
+        )
+        assert code == 2
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "c").exists()
+
+    def test_quantum_with_no_shots_is_usage_error(self, tmp_path):
+        # a pair log with no entries is refused by its own reader
+        code, _, err = run(
+            ["gen", "quantum", "--angles", "0,120", "--n", "0", "--out", str(tmp_path / "q")]
+        )
+        assert (code, err) == (1, "usage error: --n must be at least 1, got 0\n")
+        assert not (tmp_path / "q").exists()
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

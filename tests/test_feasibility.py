@@ -25,7 +25,7 @@ from contextuality.cli import cli_main
 from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
 from contextuality.io import read_marginals
 
-from oracles import oracle_decide, pair_marginal
+from oracles import oracle_decide, pair_constraint_rows, pair_marginal
 
 
 def random_joint_problem(rng, tolerance=1e-8):
@@ -189,33 +189,67 @@ class TestWitnessRecheck:
         pairs = itertools.combinations(range(t), 2)
         keys = [key for key in pairs if rng.random() < 0.7] or [(0, 1)]
         tables = {key: rng.dirichlet(np.ones(n * n)).reshape(n, n) for key in keys}
-        problem = JointFeasibilityProblem(t, n, tables)
         witness = rng.dirichlet(np.ones(n**t)) + shift * rng.random(n**t)
         errors = [np.abs(pair_marginal(witness, t, n, key) - tables[key]).max() for key in keys]
         reference = max(errors + [abs(witness.sum() - 1.0), -witness.min()])
-        gap = feasibility._witness_gap(witness, *feasibility._soft_rows(problem))
+        targets = np.concatenate([tables[key].reshape(-1) for key in keys])
+        gap = feasibility._witness_gap(witness, feasibility._pair_outcomes(t, n, keys), targets)
         assert abs(gap - reference) <= 1e-15
 
 
+class TestAssembly:
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(2, 6), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_solver_receives_the_oracle_rows(self, t, n, seed):
+        """What HiGHS receives, against the independently coded dense rows:
+        A_ub = [R, -1; -R, -1], b_ub = [b, -b] and A_eq = [1 ... 1, 0]."""
+        rng = np.random.default_rng(seed)
+        keys = [key for key in itertools.combinations(range(t), 2) if rng.random() < 0.6]
+        keys = keys or [(0, 1)]
+        if (t, n, len(keys)) == (3, 2, 3):  # a full binary triple may skip the solver
+            keys.pop(int(rng.integers(3)))
+        tables = {key: rng.dirichlet(np.ones(n * n)).reshape(n, n) for key in keys}
+        received = []
+        original = feasibility.linprog
+
+        def spy(*args, **kwargs):
+            received.append(kwargs)
+            return original(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(feasibility, "linprog", spy)
+            decide_feasibility(JointFeasibilityProblem(t, n, tables))
+        (kwargs,) = received
+        rows, rhs = pair_constraint_rows(t, n, tables)
+        r, b = rows[:-1], rhs[:-1]  # the last oracle row is the mass row
+        t_column = -np.ones((len(r), 1))
+        assert feasibility.sparse.issparse(kwargs["A_ub"])
+        expected = np.block([[r, t_column], [-r, t_column]])
+        assert np.array_equal(kwargs["A_ub"].toarray(), expected)
+        assert np.array_equal(kwargs["b_ub"], np.concatenate([b, -b]))
+        assert np.array_equal(kwargs["A_eq"], [[1.0] * n**t + [0.0]])
+
+
 class TestSparseAssembly:
-    """Three pairs over T=19 give 12 x 2**19 constraint entries, which
-    ``decide_feasibility`` assembles as a sparse matrix, as it does the
-    rows of every problem it sends to the solver."""
+    """Three pairs over T=19 give 12 rows of 2**17 outcomes each.  They
+    reach the solver in a sparse A_ub = [R, -1; -R, -1], like the rows of
+    every problem it solves."""
 
     T = 19
 
     def solve_sparse(self, monkeypatch, tables):
         assembled = []
-        original = feasibility.linear_feasibility
+        original = feasibility.linprog
 
-        def spy(soft_rows, *args):
-            assembled.append(feasibility.sparse.issparse(soft_rows))
-            return original(soft_rows, *args)
+        def spy(*args, **kwargs):
+            a_ub = kwargs["A_ub"]
+            assembled.append((feasibility.sparse.issparse(a_ub), a_ub.nnz))
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(feasibility, "linear_feasibility", spy)
+        monkeypatch.setattr(feasibility, "linprog", spy)
         problem = JointFeasibilityProblem(self.T, 2, tables)
         result = decide_feasibility(problem)
-        assert assembled == [True]
+        assert assembled == [(True, 2 * 12 * (2**17 + 1))]
         return problem, result
 
     def test_embedded_trine_keeps_its_residual(self, monkeypatch):

@@ -28,6 +28,7 @@ from contextuality.generators import QubitModelSpec, gen_quantum
 
 from oracles import (
     TRIPLE_KEYS, check_triple_certificate, pair_constraint_rows, pair_marginal, triple_rows,
+    witness_gap,
 )
 
 TOL = 1e-8
@@ -156,13 +157,13 @@ def compare_with_highs(job) -> dict:
         problem = JointFeasibilityProblem(3, 2, random_tables(rng, kind), tolerance=TOL)
         result = decide_feasibility(problem)
         m, b = triple_rows(problem)
-        violation, _ = feasibility.linear_feasibility(m, b, primal_tol=1e-10)
+        violation, _ = feasibility.linear_feasibility(feasibility._TRIPLE_OUTCOMES, b, 1e-10)
         tally["checked"] += 1
         tally["infeasible"] += not result.feasible
         tally["disagree"] += result.feasible != (violation <= TOL)
         tally["worst_gap"] = max(tally["worst_gap"], abs(result.max_violation - violation))
         if result.feasible:
-            assert feasibility._witness_gap(result.witness, m, b) <= 2 * TOL
+            assert witness_gap(result.witness, m, b) <= 2 * TOL
         else:
             check_triple_certificate(problem, result)
     return tally
@@ -309,7 +310,7 @@ class TestCertificates:
         assert len(calls) == 1
         assert result.feasible and result.certificate is None
         assert not np.allclose(result.witness, 0.125)
-        assert feasibility._witness_gap(result.witness, *triple_rows(problem)) <= 2 * TOL
+        assert witness_gap(result.witness, *triple_rows(problem)) <= 2 * TOL
 
     @pytest.mark.parametrize("defect", ["negative entry", "mass"])
     def test_witness_with_a_defect_falls_back_to_highs(self, monkeypatch, defect):
@@ -336,7 +337,7 @@ class TestCertificates:
         result = decide_feasibility(problem)
         assert len(calls) == 1
         assert result.feasible and result.certificate is None
-        assert feasibility._witness_gap(result.witness, *triple_rows(problem)) <= 2 * TOL
+        assert witness_gap(result.witness, *triple_rows(problem)) <= 2 * TOL
         assert result.witness.min() >= -2 * TOL
 
     def test_solver_verdicts_carry_no_certificate(self):
