@@ -45,9 +45,8 @@ from .feasibility import (
 )
 from .generators import (
     ClassicalModelSpec,
-    ClassicalSample,
-    QuantumSample,
     QubitModelSpec,
+    Sample,
     gen_classical,
     gen_quantum,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "AccardiVerdict",
     "AnalysisReport",
     "ClassicalModelSpec",
-    "ClassicalSample",
     "ContextHypergraph",
     "ContextualityError",
     "DataError",
@@ -97,8 +95,8 @@ __all__ = [
     "ParseError",
     "PersEstimate",
     "ProblemTooLarge",
-    "QuantumSample",
     "QubitModelSpec",
+    "Sample",
     "SampleExceedsPopulation",
     "SamplingPlan",
     "SolverFailure",

@@ -202,6 +202,10 @@ def _cmd_gen_classical(args, out) -> int:
         # types are checked, not coerced: JSON true/false decode to bool
         if type(table) is not list or not all(type(v) in (int, float) for v in table):
             raise ParseError(f"{args.table}: --table must be a JSON array of numbers")
+        try:
+            table = [float(v) for v in table]
+        except OverflowError:  # an integer too large for a float
+            raise DataError(f"{args.table}: --table entries must fit in a float") from None
     try:
         spec = ClassicalModelSpec(
             num_observables=args.t, num_records=args.n, seed=args.seed, distribution=table
@@ -209,16 +213,11 @@ def _cmd_gen_classical(args, out) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     sample = gen_classical(spec)
-    args.out.mkdir(parents=True, exist_ok=True)
-    records_path = args.out / "records"
-    write_joint(sample.dataset, records_path)
     exact = {
         "observables": list(sample.exact.observables.ids()),
         "table": [float(_sig(v)) for v in sample.exact.probabilities],
     }
-    (args.out / "exact.json").write_text(json.dumps(exact, indent=2) + "\n")
-    out.write(f"wrote {records_path} and {args.out / 'exact.json'}\n")
-    return EXIT_OK
+    return _write_gen(args.out, "records", write_joint, sample.dataset, exact, out)
 
 
 def _parse_pairs(raw: str) -> tuple[tuple[int, int], ...]:
@@ -247,9 +246,6 @@ def _cmd_gen_quantum(args, out) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     sample = gen_quantum(spec)
-    args.out.mkdir(parents=True, exist_ok=True)
-    pairs_path = args.out / "pairs"
-    write_pairlog(sample.dataset, pairs_path)
     ids = sample.exact.observables.ids()
     exact = {
         "observables": list(ids),
@@ -259,8 +255,16 @@ def _cmd_gen_quantum(args, out) -> int:
             for i, j in spec.logged_pairs()
         },
     }
-    (args.out / "exact.json").write_text(json.dumps(exact, indent=2) + "\n")
-    out.write(f"wrote {pairs_path} and {args.out / 'exact.json'}\n")
+    return _write_gen(args.out, "pairs", write_pairlog, sample.dataset, exact, out)
+
+
+def _write_gen(directory: Path, name: str, write, dataset, exact: dict, out) -> int:
+    """Make ``directory``; write the dataset as ``name`` and the exact source as exact.json."""
+    directory.mkdir(parents=True, exist_ok=True)
+    exact_path = directory / "exact.json"
+    write(dataset, directory / name)
+    exact_path.write_text(json.dumps(exact, indent=2) + "\n")
+    out.write(f"wrote {directory / name} and {exact_path}\n")
     return EXIT_OK
 
 

@@ -62,18 +62,22 @@ class ClassicalModelSpec:
             table = frozen_array(np.reshape(self.distribution, -1), np.float64)
             if table.size != 2**self.num_observables:
                 raise ValueError(f"distribution needs 2**{self.num_observables} entries")
+            if not np.isfinite(table).all():
+                raise ValueError("distribution entries must be finite")
             if table.min() < 0 or abs(table.sum() - 1.0) > 1e-9:
                 raise ValueError("distribution must be non-negative and sum to 1")
             object.__setattr__(self, "distribution", table)
 
 
 @dataclass(frozen=True, eq=False)
-class ClassicalSample:
-    dataset: JointRecordDataset
-    exact: ExactJointTable
+class Sample:
+    """A generated dataset and the exact source it was drawn from."""
+
+    dataset: JointRecordDataset | PairLogDataset
+    exact: ExactJointTable | ExactQuantumModel
 
 
-def gen_classical(spec: ClassicalModelSpec) -> ClassicalSample:
+def gen_classical(spec: ClassicalModelSpec) -> Sample:
     """Sample records from the joint table; also return the exact table.
 
     The exact table lets pipelines bypass sampling entirely
@@ -92,7 +96,7 @@ def gen_classical(spec: ClassicalModelSpec) -> ClassicalSample:
     shifts = np.arange(t - 1, -1, -1, dtype=np.uint16)  # T <= 16, so outcomes fit uint16
     records = (outcomes.astype(np.uint16)[:, None] >> shifts) & 1
     dataset = JointRecordDataset(observables, records.astype(np.uint8))
-    return ClassicalSample(dataset=dataset, exact=ExactJointTable(observables, table))
+    return Sample(dataset=dataset, exact=ExactJointTable(observables, table))
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,7 @@ class QubitModelSpec:
         return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-@dataclass(frozen=True, eq=False)
-class QuantumSample:
-    dataset: PairLogDataset
-    exact: ExactQuantumModel
-
-
-def gen_quantum(spec: QubitModelSpec) -> QuantumSample:
+def gen_quantum(spec: QubitModelSpec) -> Sample:
     """Simulate pairwise measurement logs; also return the analytic model.
 
     For each logged pair and each shot the first outcome is uniform and
@@ -161,6 +159,4 @@ def gen_quantum(spec: QubitModelSpec) -> QuantumSample:
     dataset = PairLogDataset(
         observables, first_idx, values[0].ravel(), second_idx, values[1].ravel()
     )
-    return QuantumSample(
-        dataset=dataset, exact=ExactQuantumModel(observables, spec.angles_deg)
-    )
+    return Sample(dataset=dataset, exact=ExactQuantumModel(observables, spec.angles_deg))

@@ -215,12 +215,6 @@ def read_hypergraph(path) -> ContextHypergraph:
         raise ParseError(str(exc)) from None
 
 
-def write_hypergraph(hypergraph: ContextHypergraph, path) -> None:
-    lines = [f"atom {a}" for a in hypergraph.atoms]
-    lines += ["context " + " ".join(c) for c in hypergraph.contexts]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def read_marginals(path) -> JointFeasibilityProblem:
     """Parse a marginal problem from JSON.
 

@@ -44,9 +44,6 @@ class ObservableSet:
     def ids(self) -> tuple[str, ...]:
         return self.observables
 
-    def __contains__(self, observable_id: str) -> bool:
-        return observable_id in self._index
-
     def index_of(self, observable_id: str) -> int:
         try:
             return self._index[observable_id]

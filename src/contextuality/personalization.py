@@ -30,7 +30,7 @@ from .feasibility import (
     feasibility_from_dataset,
 )
 from .observables import ObservableSet
-from .transitions import check_tolerance
+from .transitions import check_smoothing, check_tolerance
 
 MAX_EXHAUSTIVE_TRIPLES = 10**5
 _WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -68,7 +68,7 @@ class SamplingPlan:
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         check_tolerance("bistochastic_tol", self.bistochastic_tol)
-        check_tolerance("smoothing", self.smoothing)
+        check_smoothing(self.smoothing)
         check_tolerance("feasibility tolerance", self.feasibility_tol, positive=True)
 
 
@@ -115,11 +115,12 @@ class PersEstimate:
             raise ValueError("violation counts exceed their denominators")
 
 
-def wilson_interval(successes: int, total: int, z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; (0, 1) when total=0."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion; (0, 1) when total=0."""
     if total == 0:
         return (0.0, 1.0)
     phat = successes / total
+    z = _WILSON_Z95
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total))

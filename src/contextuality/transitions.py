@@ -25,6 +25,13 @@ def check_tolerance(name: str, value: float, positive: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
+def check_smoothing(smoothing: float) -> None:
+    """As check_tolerance; also 4 * smoothing, which a counted pair total adds, must be finite."""
+    check_tolerance("smoothing", smoothing)
+    if 4.0 * smoothing == math.inf:
+        raise ValueError(f"smoothing overflows a pair total (4 * smoothing), got {smoothing}")
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Conditional probabilities of one binary observable given another.
@@ -93,7 +100,7 @@ def pair_transition(
     again on every call.
 
     Raises:
-        ValueError: smoothing is negative or not finite, or the ids are equal.
+        ValueError: smoothing is negative, not finite or too large, or the ids are equal.
         UnknownObservable: an id is not in the source.
         EmptyPairData: no records, or no logged entries, for this pair.
         ZeroConditioningRow: a = 0 and a conditioning outcome has no weight.
@@ -103,7 +110,7 @@ def pair_transition(
     found = stats._transitions.get(key)
     if found is not None:
         return found
-    check_tolerance("smoothing", smoothing)
+    check_smoothing(smoothing)
     ia, ib = source.observables.index_of(conditioning), source.observables.index_of(conditioned)
     if ia == ib:
         raise ValueError("pair must name two distinct observables")

@@ -58,7 +58,11 @@ class TestGen:
         lines = (tmp_path / "c" / "records").read_text().splitlines()
         assert lines[1:] == ["1,1"] * 10
 
-    @pytest.mark.parametrize("content", ['{"a": 1}', "[true, false]", '["0.5", "0.5"]'])
+    @pytest.mark.parametrize(
+        "content",
+        # the last is an integer too large for a float
+        ['{"a": 1}', "[true, false]", '["0.5", "0.5"]', "[1" + "0" * 400 + ", 0]"],
+    )
     def test_classical_table_entries_are_checked_not_coerced(self, tmp_path, content):
         table_file = tmp_path / "table.json"
         table_file.write_text(content)
@@ -68,6 +72,17 @@ class TestGen:
         )
         assert code == 2
         assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "c").exists()
+
+    def test_classical_table_with_nan_is_usage_error(self, tmp_path):
+        # NaN passes the sign and sum checks, and would only fail in numpy's sampler
+        table_file = tmp_path / "table.json"
+        table_file.write_text("[NaN, 1.0]")
+        code, _, err = run(
+            ["gen", "classical", "--t", "1", "--n", "3", "--table", str(table_file),
+             "--out", str(tmp_path / "c")]
+        )
+        assert (code, err) == (1, "usage error: distribution entries must be finite\n")
         assert not (tmp_path / "c").exists()
 
     def test_quantum_with_no_shots_is_usage_error(self, tmp_path):
@@ -256,6 +271,16 @@ class TestNonsenseTolerances:
                               flag, value])
         assert code == 2, (out, err)
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("command", ["pers", "triple"])
+    def test_smoothing_that_overflows_a_pair_total_exits_two(self, trine_dir, command):
+        argv = [command, "--input", str(trine_dir / "pairs"), "--input-format", "pairlog",
+                "--smoothing", "1e308"]
+        if command == "triple":
+            argv += ["--ids", "a0,a1,a2"]
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err == "data error: smoothing overflows a pair total (4 * smoothing), got 1e+308\n"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_lp_tolerance_exits_two(self, tmp_path, value):

@@ -6,6 +6,7 @@ import pytest
 from contextuality import (
     ClassicalModelSpec,
     QubitModelSpec,
+    Sample,
     SamplingPlan,
     accardi_check,
     analyze,
@@ -31,6 +32,7 @@ class TestClassicalGenerator:
     def test_same_seed_is_byte_identical(self):
         spec = ClassicalModelSpec(num_observables=4, num_records=1000, seed=9)
         a, b = gen_classical(spec), gen_classical(spec)
+        assert type(a) is Sample
         assert np.array_equal(a.dataset.records, b.dataset.records)
         assert np.array_equal(a.exact.probabilities, b.exact.probabilities)
 
@@ -67,6 +69,11 @@ class TestClassicalGenerator:
             ClassicalModelSpec(num_observables=17, num_records=1)
         with pytest.raises(ValueError):
             ClassicalModelSpec(num_observables=2, num_records=1, distribution=np.ones(4))
+
+    def test_nan_entry_rejected(self):
+        # NaN passes the sign and sum checks, and would only fail in the sampler
+        with pytest.raises(ValueError, match="distribution entries must be finite"):
+            ClassicalModelSpec(num_observables=1, num_records=1, distribution=[np.nan, 1.0])
 
 
 class TestQuantumGenerator:
@@ -109,6 +116,7 @@ class TestQuantumGenerator:
     def test_same_seed_is_byte_identical(self):
         spec = QubitModelSpec(angles_deg=(0.0, 45.0, 90.0), shots=500, seed=13)
         a, b = gen_quantum(spec), gen_quantum(spec)
+        assert type(a) is Sample
         assert np.array_equal(a.dataset.first_value, b.dataset.first_value)
         assert np.array_equal(a.dataset.second_value, b.dataset.second_value)
 

@@ -23,12 +23,10 @@ from contextuality.io import (
     read_joint,
     read_marginals,
     read_pairlog,
-    write_hypergraph,
     write_joint,
     write_pairlog,
 )
 from contextuality import io as formats
-from contextuality.hypergraph import ContextHypergraph
 from contextuality.reports import analyze, write_report
 
 
@@ -520,12 +518,6 @@ class TestHypergraphFormat:
         h = read_hypergraph(path)
         assert h.atoms == ("a", "b", "c")
         assert h.contexts == (("a", "b"), ("b", "c"), ("c", "a"))
-
-    def test_round_trip(self, tmp_path):
-        h = ContextHypergraph(atoms=("x", "y"), contexts=(("x", "y"),))
-        path = tmp_path / "h.gh"
-        write_hypergraph(h, path)
-        assert read_hypergraph(path) == h
 
     def test_unknown_keyword(self, tmp_path):
         path = tmp_path / "h.gh"

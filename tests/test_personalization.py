@@ -82,6 +82,8 @@ class TestSampleTriples:
             ({"seed": 1.5}, "seed must be a non-negative integer"),
             ({"seed": True}, "seed must be a non-negative integer"),
             ({"seed": "x"}, "seed must be a non-negative integer"),
+            # 4 * smoothing, added to every pair total, would overflow
+            ({"smoothing": 1e308}, "smoothing overflows a pair total"),
         ],
     )
     def test_plan_rejects_bad_sampling_settings_when_constructed(self, fields, message):

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,6 +139,15 @@ class TestPairTransition:
     def test_nonsense_smoothing_rejected(self, smoothing):
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             pair_transition(counted([[1, 1], [1, 1]]), "A", "B", smoothing=smoothing)
+
+    def test_smoothing_that_overflows_a_pair_total_rejected(self):
+        # 4 * 1e308 is inf, so the pair total would overflow and the rows would not sum to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="smoothing overflows a pair total"):
+                pair_transition(counted([[1, 1], [1, 1]]), "A", "B", smoothing=1e308)
+            t = pair_transition(counted([[1, 1], [1, 1]]), "A", "B", smoothing=4.49e307)
+        assert t.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
     @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize("source", ["pairlog", "joint", "exact_joint", "exact_quantum"])
