@@ -148,7 +148,7 @@ def _cmd_pers(args, out) -> int:
     if args.out is None:
         out.write(text)
     else:
-        args.out.write_text(text)
+        args.out.write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -198,7 +198,7 @@ def _cmd_greechie(args, out) -> int:
 def _cmd_gen_classical(args, out) -> int:
     table = None
     if args.table is not None:
-        table = json.loads(args.table.read_text())
+        table = json.loads(args.table.read_text(encoding="utf-8"))
         # types are checked, not coerced: JSON true/false decode to bool
         if type(table) is not list or not all(type(v) in (int, float) for v in table):
             raise ParseError(f"{args.table}: --table must be a JSON array of numbers")
@@ -240,7 +240,7 @@ def _cmd_gen_quantum(args, out) -> int:
         angles = tuple(float(a) for a in args.angles.split(","))
     except ValueError:
         raise _UsageError(f"--angles must be comma-separated numbers, got {args.angles!r}") from None
-    pairs = _parse_pairs(args.pairs) if args.pairs else None
+    pairs = None if args.pairs is None else _parse_pairs(args.pairs)
     try:
         spec = QubitModelSpec(angles_deg=angles, shots=args.n, seed=args.seed, pairs=pairs)
     except ValueError as exc:
@@ -263,7 +263,7 @@ def _write_gen(directory: Path, name: str, write, dataset, exact: dict, out) -> 
     directory.mkdir(parents=True, exist_ok=True)
     exact_path = directory / "exact.json"
     write(dataset, directory / name)
-    exact_path.write_text(json.dumps(exact, indent=2) + "\n")
+    exact_path.write_text(json.dumps(exact, indent=2) + "\n", encoding="utf-8")
     out.write(f"wrote {directory / name} and {exact_path}\n")
     return EXIT_OK
 

@@ -57,6 +57,7 @@ from .transitions import TransitionMatrix, check_tolerance
 
 DEFAULT_FEASIBILITY_TOL = 1e-8
 MAX_PRODUCT_OUTCOMES = 10**6
+MAX_OUTCOME_ENTRIES = 2 * 10**6  # pairs x n**T: what the outcome table and the LP hold
 _HIGHS_DEFAULT_PRIMAL_TOL = 1e-7  # HiGHS's primal feasibility tolerance
 _HIGHS_MIN_PRIMAL_TOL = 1e-10  # the smallest value HiGHS accepts
 _TRIPLE_KEYS = ((0, 1), (0, 2), (1, 2))
@@ -212,7 +213,8 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     """Decide whether a single joint distribution matches all pair targets.
 
     Raises:
-        ProblemTooLarge: n**T exceeds the desk-scale guard (10**6).
+        ProblemTooLarge: n**T exceeds the desk-scale guard (10**6), or the
+            outcome table's pairs x n**T entries exceed 2 x 10**6.
         SolverFailure: numerical breakdown, distinguishable from an
             infeasible verdict.
     """
@@ -220,6 +222,9 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
     size = n**t
     if size > MAX_PRODUCT_OUTCOMES:
         raise ProblemTooLarge(f"product sample space has {size} > {MAX_PRODUCT_OUTCOMES} points")
+    entries = len(problem.pair_marginals) * size
+    if entries > MAX_OUTCOME_ENTRIES:
+        raise ProblemTooLarge(f"outcome table has {entries} > {MAX_OUTCOME_ENTRIES} entries")
     if not problem.pair_marginals:
         witness = np.full(size, 1.0 / size)
         return FeasibilityResult(feasible=True, witness=witness, max_violation=0.0)

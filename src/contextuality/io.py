@@ -7,18 +7,18 @@ Joint format: CSV, a header line of observable names, then one line of
 then ``context A B ...`` lines; ``#`` starts a comment.  Marginal
 problems: JSON (see :func:`read_marginals`).
 
-Parsers report 1-based line and field positions on failure and ignore
-blank lines; whitespace around fields is trimmed.  Record and pair-log
-files repeat a few lines many times, so each distinct line is validated
-and converted once and the rows are gathered by one array index; an
-error names the first line that holds the bad text.  The writers refuse
-an id that would not read back, before the file is opened.
+Every file is UTF-8; the line-based parsers read theirs a block at a
+time.  Parsers report 1-based line and field positions on failure and
+ignore blank lines; whitespace around fields is trimmed.  Record and
+pair-log files repeat a few lines many times, so each distinct line is
+validated and converted once and the rows are gathered by one array
+index; an error names the first line that holds the bad text.  The
+writers refuse an id that would not read back, before the file is opened.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -36,27 +36,26 @@ _WRITE_BLOCK_ROWS = 1 << 14  # rows formatted at a time, so no file is held whol
 PAIRLOG_HEADER = ("obs_a", "val_a", "obs_b", "val_b")
 
 
-def _data_lines(text: str, allow_comments: bool = False):
-    """(line number, stripped line) for each non-blank line, numbered as by
-    ``text.splitlines()``.  The text is split a block at a time, each block
-    ending just after a newline, so a large file's lines are never all held
-    at once."""
-    first, start = 1, 0
-    while start < len(text):
-        end = text.find("\n", start + _LINE_BLOCK_CHARS) + 1 or len(text)
-        block = text[start:end].splitlines()
-        for lineno, line in enumerate(map(str.strip, block), start=first):
-            if allow_comments and "#" in line:
-                line = line.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
-        first += len(block)
-        start = end
+def _data_lines(path, allow_comments: bool = False):
+    """(line number, stripped line) for each non-blank line of a UTF-8 file,
+    numbered as by ``splitlines()`` of its whole text.  The file is read a
+    block at a time, each block finished at a newline, so a large file is
+    never held whole."""
+    first = 1
+    with open(path, encoding="utf-8") as file:
+        while block := file.read(_LINE_BLOCK_CHARS):
+            lines = (block + file.readline()).splitlines()
+            for lineno, line in enumerate(map(str.strip, lines), start=first):
+                if allow_comments and "#" in line:
+                    line = line.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+            first += len(lines)
 
 
 def _header_and_lines(path):
     """(remaining data lines, header line number, stripped header) of a CSV file."""
-    lines = _data_lines(Path(path).read_text())
+    lines = _data_lines(path)
     try:
         header_line, header = next(lines)
     except StopIteration:
@@ -100,8 +99,6 @@ def read_joint(path) -> JointRecordDataset:
     """
     lines, header_line, header = _header_and_lines(path)
     names = [f.strip() for f in header.split(",")]
-    if any(not n for n in names):
-        raise HeaderMismatch("empty observable name in header", line=header_line)
     try:
         observables = ObservableSet.from_ids(names, source=str(path))
     except ValueError as exc:
@@ -131,7 +128,7 @@ def write_joint(dataset: JointRecordDataset, path) -> None:
     """Each block of records is written as one ASCII array: a digit at every
     even column, then ``,`` or, at the row end, a newline."""
     header = ",".join(_writable_ids(dataset.observables)) + "\n"
-    with open(path, "w") as out:
+    with open(path, "w", encoding="utf-8") as out:
         out.write(header)
         for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
             block = dataset.records[start:start + _WRITE_BLOCK_ROWS]
@@ -162,10 +159,7 @@ def read_pairlog(path) -> PairLogDataset:
             raise ParseError("empty observable name", line=lineno)
         if obs_a == obs_b:
             raise ParseError(f"entry pairs {obs_a!r} with itself", line=lineno)
-        try:
-            val_a, val_b = _BITS[parts[1]], _BITS[parts[3]]
-        except KeyError:  # padded or not a bit
-            val_a, val_b = _parse_bit(parts[1], lineno, 2), _parse_bit(parts[3], lineno, 4)
+        val_a, val_b = _parse_bit(parts[1], lineno, 2), _parse_bit(parts[3], lineno, 4)
         return (index.setdefault(obs_a, len(index)), val_a,
                 index.setdefault(obs_b, len(index)), val_b)
 
@@ -181,7 +175,7 @@ def write_pairlog(dataset: PairLogDataset, path) -> None:
     ids = _writable_ids(dataset.observables)
     heads = [f"{name},{value}," for name in ids for value in (0, 1)]
     tails = [f"{name},{value}\n" for name in ids for value in (0, 1)]
-    with open(path, "w") as out:
+    with open(path, "w", encoding="utf-8") as out:
         out.write(",".join(PAIRLOG_HEADER) + "\n")
         for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
             rows = slice(start, start + _WRITE_BLOCK_ROWS)
@@ -194,7 +188,7 @@ def read_hypergraph(path) -> ContextHypergraph:
     """Parse the hypergraph format: atom lines, then context lines."""
     atoms: list[str] = []
     contexts: list[tuple[str, ...]] = []
-    for lineno, line in _data_lines(Path(path).read_text(), allow_comments=True):
+    for lineno, line in _data_lines(path, allow_comments=True):
         parts = line.split()
         keyword, rest = parts[0], parts[1:]
         if keyword == "atom":
@@ -232,7 +226,8 @@ def read_marginals(path) -> JointFeasibilityProblem:
     entry a number; each unordered pair is listed at most once.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        with open(path, encoding="utf-8") as file:
+            doc = json.load(file)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno, column=exc.colno) from None
     try:

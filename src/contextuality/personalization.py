@@ -32,7 +32,7 @@ from .feasibility import (
 from .observables import ObservableSet
 from .transitions import check_smoothing, check_tolerance
 
-MAX_EXHAUSTIVE_TRIPLES = 10**5
+MAX_TRIPLES = 10**5  # triples sampled or visited by one run
 _WILSON_Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 SamplingMode = Literal["without_replacement", "with_replacement", "exhaustive"]
@@ -42,10 +42,10 @@ SamplingMode = Literal["without_replacement", "with_replacement", "exhaustive"]
 class SamplingPlan:
     """How to pick triples and which tolerances to forward.
 
-    ``num_triples=None`` means min(1000, C(T,3)).  Exhaustive mode visits
-    all C(T,3) triples in lexicographic order, takes no ``num_triples``,
-    and requires C(T,3) <= 1e5.  Every setting is checked here, even for
-    a run whose triples all skip.
+    ``num_triples=None`` means min(1000, C(T,3)), and a given one is at
+    most 1e5.  Exhaustive mode visits all C(T,3) triples in lexicographic
+    order, takes no ``num_triples``, and requires C(T,3) <= 1e5.  Every
+    setting is checked here, even for a run whose triples all skip.
     """
 
     num_triples: int | None = None
@@ -63,8 +63,8 @@ class SamplingPlan:
                 raise ValueError("exhaustive mode visits every triple; num_triples must be unset")
             if type(self.num_triples) is not int:
                 raise ValueError(f"num_triples must be an integer, got {self.num_triples!r}")
-            if self.num_triples < 0:
-                raise ValueError("num_triples must be non-negative")
+            if not 0 <= self.num_triples <= MAX_TRIPLES:
+                raise ValueError(f"num_triples must be non-negative and at most {MAX_TRIPLES}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         check_tolerance("bistochastic_tol", self.bistochastic_tol)
@@ -167,10 +167,8 @@ def sample_triples(
     ids = observables.ids()
     population = math.comb(t, 3)
     if plan.mode == "exhaustive":
-        if population > MAX_EXHAUSTIVE_TRIPLES:
-            raise ProblemTooLarge(
-                f"{population} triples exceed the exhaustive cap {MAX_EXHAUSTIVE_TRIPLES}"
-            )
+        if population > MAX_TRIPLES:
+            raise ProblemTooLarge(f"{population} triples exceed the cap {MAX_TRIPLES}")
         ranks = range(population)
     else:
         requested = resolve_plan(plan, observables).num_triples

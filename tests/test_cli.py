@@ -1,12 +1,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import contextuality
 from contextuality import SolverFailure, cli
 from contextuality.cli import cli_main
+from contextuality.io import read_pairlog
 
 from test_io import MALFORMED_MARGINALS
 
@@ -27,12 +33,58 @@ def trine_dir(tmp_path):
     return tmp_path / "d"
 
 
+@pytest.fixture()
+def partial_dir(tmp_path):
+    """A log of four observables with pairs 0-3 and 1-3 missing: of its four
+    triples, only (a0, a1, a2) has every pair."""
+    code, _, err = run(
+        ["gen", "quantum", "--angles", "0,60,120,180", "--n", "50", "--seed", "3",
+         "--pairs", "0-1,0-2,1-2,2-3", "--out", str(tmp_path / "q")]
+    )
+    assert code == 0, err
+    return tmp_path / "q"
+
+
+SKIPPED = [
+    (["a0", "a1", "a3"], "no logged pairs for ('a3', 'a1')"),
+    (["a0", "a2", "a3"], "no logged pairs for ('a0', 'a3')"),
+    (["a1", "a2", "a3"], "no logged pairs for ('a1', 'a3')"),
+]
+
+
 class TestGen:
     def test_quantum_writes_pairs_and_exact(self, trine_dir):
         assert (trine_dir / "pairs").exists()
         exact = json.loads((trine_dir / "exact.json").read_text())
         assert exact["observables"] == ["a0", "a1", "a2"]
         assert exact["transition_params"]["a0,a1"] == pytest.approx(0.25, abs=1e-9)
+
+    def test_quantum_logs_only_the_given_pairs(self, partial_dir):
+        log = read_pairlog(partial_dir / "pairs")
+        ids = log.observables.ids()
+        logged = {(ids[a], ids[b]) for a, b in zip(log.first_index, log.second_index)}
+        assert logged == {("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("a2", "a3")}
+        assert len(log) == 4 * 50
+        exact = json.loads((partial_dir / "exact.json").read_text())
+        assert list(exact["transition_params"]) == ["a0,a1", "a0,a2", "a1,a2", "a2,a3"]
+        assert exact["transition_params"]["a2,a3"] == pytest.approx(0.75, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pairs", ""], "--pairs entries look like i-j, got ''"),
+            (["--pairs", "0-1,2"], "--pairs entries look like i-j, got '2'"),
+            (["--pairs", "0-x"], "--pairs entries look like i-j, got '0-x'"),
+            (["--pairs", "0-0"], "invalid measurement pair (0, 0)"),
+            (["--pairs", "0-3"], "invalid measurement pair (0, 3)"),
+            (["--angles", "0,a"], "--angles must be comma-separated numbers, got '0,a'"),
+        ],
+    )
+    def test_bad_pairs_or_angles_are_usage_errors(self, tmp_path, flags, message):
+        argv = ["gen", "quantum", "--angles", "0,60,120", "--n", "5", *flags]
+        code, out, err = run([*argv, "--out", str(tmp_path / "q")])
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert not (tmp_path / "q").exists()
 
     def test_classical_writes_records_and_exact(self, tmp_path):
         code, _, err = run(
@@ -209,15 +261,47 @@ class TestPers:
             ["--mode", "exhaustive", "--triples", "5"],
             ["--mode", "exhaustive", "--triples", "-3"],
             ["--triples", "-3"],
+            ["--triples", "100001"],
+            ["--mode", "with_replacement", "--triples", "1000000000"],
         ],
     )
     def test_bad_triple_count_is_data_error(self, trine_dir, flags):
-        # exhaustive mode visits every triple, so any count would be misreported
+        # exhaustive mode visits every triple, so any count would be misreported;
+        # the other modes build their whole list of triples, so they are capped
         code, out, err = run(
             ["pers", "--input", str(trine_dir / "pairs"), "--input-format", "pairlog", *flags]
         )
         assert (code, out) == (2, "")
         assert "num_triples" in err
+
+    def test_skipped_triples_in_json(self, partial_dir):
+        code, out, err = run(["pers", "--input", str(partial_dir / "pairs"),
+                              "--input-format", "pairlog", "--mode", "exhaustive"])
+        assert code == 0, err
+        body = json.loads(out)["report"]
+        assert (body["pers"]["sampled"], body["pers"]["decided"], body["pers"]["skipped"]) == (
+            4, 1, 3)
+        assert body["skipped"] == [{"observables": ids, "reason": why} for ids, why in SKIPPED]
+        decided, *skipped = body["triples"]
+        assert decided["observables"] == ["a0", "a1", "a2"] and decided["error"] is None
+        assert skipped == [
+            {"observables": ids, "params": None, "accardi_verdict": None, "accardi_slack": None,
+             "lp_feasible": None, "lp_max_violation": None, "error": why}
+            for ids, why in SKIPPED
+        ]
+
+    def test_skipped_triples_in_csv(self, partial_dir, tmp_path):
+        code, out, err = run(["pers", "--input", str(partial_dir / "pairs"), "--input-format",
+                              "pairlog", "--mode", "exhaustive", "--format", "csv",
+                              "--out", str(tmp_path / "r.csv")])
+        assert (code, out) == (0, ""), err
+        header, decided, *skipped = (tmp_path / "r.csv").read_text().splitlines()
+        assert len(header.split(",")) == len(decided.split(",")) == 15
+        assert decided.startswith("a0,a1,a2,") and "" not in decided.split(",")[:-1]
+        # a skipped row has empty cells, and its reason's commas become ';'
+        assert skipped == [
+            ",".join(ids) + "," * 12 + why.replace(",", ";") for ids, why in SKIPPED
+        ]
 
     def test_negative_seed_is_data_error(self, trine_dir):
         code, out, err = run(
@@ -458,3 +542,32 @@ class TestTripleOnJointInput:
         assert "p=1 q=0 r=0" in out
         assert "accardi: classical" in out
         assert "lp: feasible" in out
+
+
+def test_every_command_opens_its_files_as_utf8(tmp_path):
+    # a file opened with the locale's encoding would read differently elsewhere
+    (tmp_path / "table.json").write_text(json.dumps([0.125] * 8), encoding="utf-8")
+    pair = {"pair": ["A", "B"], "table": [[0.5, 0.0], [0.0, 0.5]]}
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"observables": ["A", "B"], "num_outcomes": 2, "pairs": [pair]}), encoding="utf-8")
+    (tmp_path / "h.gh").write_text("atom a\natom b\ncontext a b\n", encoding="utf-8")
+    commands = [
+        ["gen", "classical", "--t", "3", "--n", "50", "--table", "table.json", "--out", "c"],
+        ["gen", "quantum", "--angles", "0,120,240", "--n", "50", "--out", "q"],
+        ["pers", "--input", "c/records", "--out", "r.json"],
+        ["pers", "--input", "q/pairs", "--input-format", "pairlog", "--format", "csv"],
+        ["triple", "--input", "q/pairs", "--input-format", "pairlog", "--ids", "a0,a1,a2"],
+        ["lp", "m.json"],
+        ["greechie", "h.gh"],
+    ]
+    script = ("import json, sys\nfrom contextuality.cli import cli_main\n"
+              "sys.exit(max(cli_main(argv) for argv in json.loads(sys.argv[1])))")
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", script, json.dumps(commands)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "r.json").exists() and "two-valued states: 2" in proc.stdout

@@ -102,6 +102,29 @@ class TestDecideFeasibility:
         with pytest.raises(ProblemTooLarge):
             decide_feasibility(problem)
 
+    def test_outcome_table_bound_refuses_before_assembly(self, monkeypatch):
+        # all 120 pairs of T=16: 120 * 2**16 entries, gigabytes of assembly
+        tables = {key: np.full((2, 2), 0.25) for key in itertools.combinations(range(16), 2)}
+        monkeypatch.setattr(feasibility, "_pair_outcomes", lambda *args: pytest.fail("assembled"))
+        with pytest.raises(ProblemTooLarge, match="^outcome table has 7864320 > 2000000 entries$"):
+            decide_feasibility(JointFeasibilityProblem(16, 2, tables))
+
+    @pytest.mark.parametrize(
+        "t, n, tables, message",
+        [
+            (0, 2, {}, "need at least one observable with two outcomes"),
+            (2, 1, {}, "need at least one observable with two outcomes"),
+            (2, 2, {(1, 0): np.full((2, 2), 0.25)}, r"pair key \(1, 0\) must satisfy"),
+            (2, 2, {(0, 2): np.full((2, 2), 0.25)}, r"pair key \(0, 2\) must satisfy"),
+            (2, 2, {(0, 1): np.full((3, 3), 1 / 9)}, "table must be 2x2"),
+            (2, 2, {(0, 1): [[0.75, 0.5], [-0.25, 0.0]]}, "negative entry"),
+            (2, 2, {(0, 1): np.full((2, 2), 0.2)}, "entries must sum to 1"),
+        ],
+    )
+    def test_malformed_problem_rejected(self, t, n, tables, message):
+        with pytest.raises(ValueError, match=message):
+            JointFeasibilityProblem(t, n, tables)
+
     def test_general_outcome_count(self):
         rng = np.random.default_rng(1)
         joint = rng.dirichlet(np.ones(27))

@@ -57,6 +57,13 @@ MALFORMED_MARGINALS = [
     pytest.param({"observables": ["A", "B"], "num_outcomes": 2,
                   "pairs": [_PAIR_AB, {"pair": ["B", "A"], "table": [[0.0, 0.5], [0.5, 0.0]]}]},
                  id="pair-listed-twice"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2}, id="missing-pairs"),
+    pytest.param({"observables": ["A", "A"], "num_outcomes": 2, "pairs": [_PAIR_AB]},
+                 id="repeated-observable"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2, "pairs": [["A", "B"]]},
+                 id="list-pair-entry"),
+    pytest.param({"observables": ["A", "B"], "num_outcomes": 2,
+                  "pairs": [{**_PAIR_AB, "pair": ["A", "A"]}]}, id="self-pair"),
 ]
 
 
@@ -88,6 +95,20 @@ class TestJointFormat:
         path.write_text("A,A\n1,0\n")
         with pytest.raises(HeaderMismatch):
             read_joint(path)
+
+    def test_empty_header_name(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\nA, ,B\n1,0,1\n")
+        with pytest.raises(HeaderMismatch, match="^line 2: observable id must be non-empty$"):
+            read_joint(path)
+
+    @pytest.mark.parametrize("read", [read_joint, read_pairlog])
+    @pytest.mark.parametrize("text", ["", "\n \n\t\n"])
+    def test_file_with_no_header_line(self, tmp_path, read, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="^empty file: missing header$"):
+            read(path)
 
     def test_round_trip_on_generator_output(self, tmp_path):
         sample = gen_classical(ClassicalModelSpec(num_observables=4, num_records=500, seed=3))
@@ -485,7 +506,7 @@ class TestWrittenIdsReadBack:
 
 
 class TestDataLines:
-    """Lines are split a block at a time; numbering must not depend on
+    """A file is read a block at a time; numbering must not depend on
     where the blocks end, whatever line breaks the text holds."""
 
     @settings(max_examples=300, deadline=None)
@@ -494,9 +515,11 @@ class TestDataLines:
         block=st.sampled_from([1, 2, 3, 7, 1 << 16]),
         allow_comments=st.booleans(),
     )
-    def test_matches_whole_text_splitlines(self, text, block, allow_comments):
+    def test_matches_whole_text_splitlines(self, tmp_path_factory, text, block, allow_comments):
+        path = tmp_path_factory.getbasetemp() / "lines"
+        path.write_text(text, encoding="utf-8")
         with mock.patch.object(formats, "_LINE_BLOCK_CHARS", block):
-            got = list(formats._data_lines(text, allow_comments))
+            got = list(formats._data_lines(path, allow_comments))
         assert got == list(reference_data_lines(text, allow_comments))
 
     def test_error_line_number_past_many_blocks(self, tmp_path, monkeypatch):
@@ -525,6 +548,20 @@ class TestHypergraphFormat:
         with pytest.raises(ParseError) as excinfo:
             read_hypergraph(path)
         assert excinfo.value.line == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("atom a b\n", "line 1: atom lines take exactly one id"),
+            ("atom a\n# none\ncontext # a\n", "line 3: context lines need at least one atom id"),
+            ("atom a\ncontext a b\n", "context references undeclared atoms: ['b']"),
+        ],
+    )
+    def test_malformed_lines(self, tmp_path, text, message):
+        path = tmp_path / "h.gh"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_hypergraph(path)
 
 
 class TestMarginalsFormat:

@@ -191,6 +191,25 @@ class TestFieldChecks:
         with pytest.raises(ValueError):
             build(bad)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: JointRecordDataset(OBS_AB, [[0, 1, 0]]), r"shape \(N, 2\), got \(1, 3\)"),
+            (lambda: JointRecordDataset(OBS_AB, [0, 1]), r"shape \(N, 2\), got \(2,\)"),
+            (lambda: JointRecordDataset(OBS_AB, [[0, 2]]), "must be 0 or 1"),
+            (lambda: PairLogDataset(OBS_AB, [[0]], [0], [1], [1]), "first_index must be one-dim"),
+            (lambda: PairLogDataset(OBS_AB, [0, 0], [0], [1], [1]), "must have equal length"),
+            (lambda: ExactJointTable(OBS_AB, [0.5, 0.5]), r"need 2\*\*2 probabilities, got 2"),
+            (lambda: ExactJointTable(OBS_AB, [0.5, 0.75, -0.25, 0.0]), "must be non-negative"),
+            (lambda: ExactJointTable(OBS_AB, [0.25, 0.25, 0.25, 0.0]), "must sum to 1"),
+        ],
+        ids=["records-width", "records-1d", "records-value", "pairlog-2d", "pairlog-length",
+             "exact-size", "exact-negative", "exact-sum"],
+    )
+    def test_sources_reject_malformed_arrays(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
     def test_exact_quantum_model_rejects_non_finite_angles(self, angle):
         with pytest.raises(ValueError, match="angles must be finite"):

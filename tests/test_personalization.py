@@ -73,6 +73,9 @@ class TestSampleTriples:
             ({"mode": "bogus"}, "unknown sampling mode"),
             ({"num_triples": -1}, "non-negative"),
             ({"num_triples": -1, "mode": "with_replacement"}, "non-negative"),
+            # sampling builds the whole list of triples, so every mode is capped
+            ({"num_triples": 10**5 + 1}, "at most 100000"),
+            ({"num_triples": 10**9, "mode": "with_replacement"}, "at most 100000"),
             ({"num_triples": 5, "mode": "exhaustive"}, "exhaustive"),
             ({"num_triples": 0, "mode": "exhaustive"}, "exhaustive"),
             ({"num_triples": True}, "integer"),

@@ -313,6 +313,20 @@ class TestTransitionMatrixInvariants:
                 pair=("A", "B"), entries=np.eye(2), priors=np.array([0.7, 0.5])
             )
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"pair": ("A", "A")}, "pair must name two distinct observables"),
+            ({"entries": np.eye(3)}, "entries must be 2x2 and priors length 2"),
+            ({"priors": np.array([1.0])}, "entries must be 2x2 and priors length 2"),
+            ({"entries": np.array([[1.5, -0.5], [0.0, 1.0]])}, r"entries must lie in \[0, 1\]"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, fields, message):
+        valid = {"pair": ("A", "B"), "entries": np.eye(2), "priors": np.array([0.5, 0.5])}
+        with pytest.raises(ValueError, match=message):
+            TransitionMatrix(**{**valid, **fields})
+
     def test_bistochastic_tolerance_decides_the_parameter(self):
         # the rule lives in the triple test: a matrix only reports its deviation
         source = one_deviating_pair()
