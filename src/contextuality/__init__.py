@@ -8,12 +8,7 @@ contexts as hypergraphs, and aggregate the personalization rate over
 randomly sampled triples.
 """
 
-from .accardi import (
-    AccardiVerdict,
-    TripleParams,
-    accardi_check,
-    triple_params,
-)
+from .accardi import TripleParams, triple_params
 from .datasets import (
     ExactJointTable,
     ExactQuantumModel,
@@ -76,7 +71,6 @@ from .transitions import TransitionMatrix, pair_transition
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccardiVerdict",
     "AnalysisReport",
     "ClassicalModelSpec",
     "ContextHypergraph",
@@ -109,7 +103,6 @@ __all__ = [
     "UnknownObservable",
     "ValidationReport",
     "ZeroConditioningRow",
-    "accardi_check",
     "analyze",
     "bistochastic_triple_problem",
     "build_problem",

@@ -14,7 +14,7 @@ Equivalently, the symmetric system p+q+r >= 1, p+q-r <= 1, p-q+r <= 1,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .transitions import TransitionMatrix, check_tolerance, pair_transition
@@ -27,7 +27,8 @@ Verdict = Literal["classical", "contextual", "not_applicable"]
 
 @dataclass(frozen=True)
 class TripleParams:
-    """Symmetric transition parameters of an ordered observable triple (A, B, C).
+    """Symmetric transition parameters of an ordered observable triple (A, B, C),
+    with the verdict of the invariants on them.
 
     Attributes:
         observables: the triple ids.
@@ -36,6 +37,14 @@ class TripleParams:
         applicable: all three matrices bistochastic within tolerance.
         deviations: bistochastic deviations of the three matrices, in the
             same cyclic order as (p, q, r).
+        slack: min(r - |p+q-1|, 1 - |p-q| - r): non-negative iff the
+            invariants hold, and its magnitude measures the distance to
+            the boundary.
+        verdict: ``not_applicable`` when the bistochastic hypothesis
+            failed (the linear-programming route remains available);
+            otherwise ``classical``, boundary cases (|slack| <=
+            EQUALITY_TOL) included since the invariants are non-strict,
+            or ``contextual``.
     """
 
     observables: tuple[str, str, str]
@@ -44,46 +53,23 @@ class TripleParams:
     r: float
     applicable: bool
     deviations: tuple[float, float, float]
+    slack: float = field(init=False)
+    verdict: Verdict = field(init=False)
 
     def __post_init__(self):
-        for name, value in (("p", self.p), ("q", self.q), ("r", self.r)):
+        p, q, r = self.p, self.q, self.r
+        for name, value in (("p", p), ("q", q), ("r", r)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class AccardiVerdict:
-    """Outcome of the invariant check.
-
-    ``slack`` = min(r - |p+q-1|, 1 - |p-q| - r): non-negative iff the
-    invariants hold, and its magnitude measures the distance to the
-    boundary.  ``not_applicable`` means the bistochastic hypothesis
-    failed; the linear-programming route remains available.
-    """
-
-    verdict: Verdict
-    lower: float
-    upper: float
-    slack: float
-
-
-def accardi_check(params: TripleParams) -> AccardiVerdict:
-    """Classify a parameter triple as classical or contextual.
-
-    Boundary cases (|slack| <= EQUALITY_TOL) count as classical: the
-    invariants are non-strict inequalities.
-    """
-    p, q, r = params.p, params.q, params.r
-    lower = abs(p + q - 1.0)
-    upper = 1.0 - abs(p - q)
-    slack = min(r - lower, upper - r)
-    if not params.applicable:
-        verdict: Verdict = "not_applicable"
-    elif slack >= -EQUALITY_TOL:
-        verdict = "classical"
-    else:
-        verdict = "contextual"
-    return AccardiVerdict(verdict=verdict, lower=lower, upper=upper, slack=slack)
+        slack = min(r - abs(p + q - 1.0), 1.0 - abs(p - q) - r)
+        if not self.applicable:
+            verdict = "not_applicable"
+        elif slack >= -EQUALITY_TOL:
+            verdict = "classical"
+        else:
+            verdict = "contextual"
+        object.__setattr__(self, "slack", slack)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def triple_params(

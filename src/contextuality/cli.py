@@ -157,14 +157,14 @@ def _cmd_triple(args, out) -> int:
     ids = tuple(part.strip() for part in args.ids.split(","))
     if len(ids) != 3 or len(set(ids)) != 3:
         raise _UsageError("--ids needs three distinct observable ids")
-    params, verdict, lp = feasibility_from_dataset(
+    params, lp = feasibility_from_dataset(
         dataset, ids, args.smoothing, args.tol_b, args.tol_lp
     )
     out.write(f"triple: {','.join(ids)}\n")
     out.write(f"p={_sig(params.p)} q={_sig(params.q)} r={_sig(params.r)}\n")
     out.write(f"deviations: {' '.join(_sig(d) for d in params.deviations)}\n")
     out.write(f"applicable: {'yes' if params.applicable else 'no'}\n")
-    out.write(f"accardi: {verdict.verdict} (slack {_sig(verdict.slack)})\n")
+    out.write(f"accardi: {params.verdict} (slack {_sig(params.slack)})\n")
     feasible = "feasible" if lp.feasible else "infeasible"
     out.write(f"lp: {feasible} (max violation {_sig(lp.max_violation)})\n")
     return EXIT_OK

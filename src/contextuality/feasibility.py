@@ -43,13 +43,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from . import triple_duals
-from .accardi import (
-    DEFAULT_BISTOCHASTIC_TOL,
-    AccardiVerdict,
-    TripleParams,
-    accardi_check,
-    triple_params,
-)
+from .accardi import DEFAULT_BISTOCHASTIC_TOL, TripleParams, triple_params
 from .errors import ProblemTooLarge, SolverFailure
 from .datasets import bistochastic_pair_table, frozen_array
 from .observables import ObservableSet
@@ -336,15 +330,15 @@ def feasibility_from_dataset(
     smoothing: float = 0.0,
     bistochastic_tol: float = DEFAULT_BISTOCHASTIC_TOL,
     tolerance: float = DEFAULT_FEASIBILITY_TOL,
-) -> tuple[TripleParams, AccardiVerdict, FeasibilityResult]:
+) -> tuple[TripleParams, FeasibilityResult]:
     """End-to-end pipeline for one triple: estimate, check invariants, solve.
 
-    Returns the triple parameters, the closed-form verdict, and the
-    feasibility result for the pair-joint targets implied by the data.
+    Returns the triple parameters, which carry the closed-form verdict,
+    and the feasibility result for the pair-joint targets implied by the
+    data.
     """
     params, matrices = triple_params(source, ids, smoothing, bistochastic_tol)
-    verdict = accardi_check(params)
     triple_set = source.observables.subset(ids)
     problem = build_problem(matrices, triple_set, tolerance)
     result = decide_feasibility(problem)
-    return params, verdict, result
+    return params, result

@@ -125,9 +125,13 @@ class QubitModelSpec:
             raise ValueError("seed must be non-negative")
         if self.pairs is not None:
             n = len(self.angles_deg)
+            seen = set()
             for a, b in self.pairs:
                 if not (0 <= a < n and 0 <= b < n) or a == b:
                     raise ValueError(f"invalid measurement pair ({a}, {b})")
+                if frozenset((a, b)) in seen:
+                    raise ValueError(f"measurement pair ({a}, {b}) is listed twice")
+                seen.add(frozenset((a, b)))
 
     def logged_pairs(self) -> tuple[tuple[int, int], ...]:
         if self.pairs is not None:

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Literal, get_args
 
-from .accardi import DEFAULT_BISTOCHASTIC_TOL, AccardiVerdict, TripleParams
+from .accardi import DEFAULT_BISTOCHASTIC_TOL, TripleParams
 from .errors import DataError, ProblemTooLarge, SampleExceedsPopulation, TooFewObservables
 from .feasibility import (
     DEFAULT_FEASIBILITY_TOL,
@@ -78,7 +78,6 @@ class TripleReport:
 
     ids: tuple[str, str, str]
     params: TripleParams | None
-    accardi: AccardiVerdict | None
     lp: FeasibilityResult | None
     error: str | None = None
 
@@ -200,13 +199,13 @@ def evaluate_triples(
     by_ids = {}
     for ids in dict.fromkeys(triples):
         try:
-            params, verdict, lp = feasibility_from_dataset(
+            params, lp = feasibility_from_dataset(
                 source, ids, plan.smoothing, plan.bistochastic_tol, plan.feasibility_tol
             )
         except DataError as exc:  # a SolverFailure is not a skip; it propagates
-            by_ids[ids] = TripleReport(ids=ids, params=None, accardi=None, lp=None, error=str(exc))
+            by_ids[ids] = TripleReport(ids=ids, params=None, lp=None, error=str(exc))
         else:
-            by_ids[ids] = TripleReport(ids=ids, params=params, accardi=verdict, lp=lp)
+            by_ids[ids] = TripleReport(ids=ids, params=params, lp=lp)
     return [by_ids[ids] for ids in triples]
 
 
@@ -215,11 +214,9 @@ def summarize(reports: list[TripleReport]) -> PersEstimate:
     sampled = len(reports)
     skipped = sum(1 for r in reports if r.skipped)
     decided = sampled - skipped
-    applicable = sum(
-        1 for r in reports if r.accardi is not None and r.accardi.verdict != "not_applicable"
-    )
+    applicable = sum(1 for r in reports if r.params is not None and r.params.applicable)
     accardi_violations = sum(
-        1 for r in reports if r.accardi is not None and r.accardi.verdict == "contextual"
+        1 for r in reports if r.params is not None and r.params.verdict == "contextual"
     )
     lp_violations = sum(1 for r in reports if r.lp is not None and not r.lp.feasible)
     return PersEstimate(

@@ -73,8 +73,8 @@ def _triple_row(report: TripleReport) -> dict:
         "applicable": params.applicable,
         "deviations": [_sig(d) for d in params.deviations],
     }
-    row["accardi_verdict"] = report.accardi.verdict
-    row["accardi_slack"] = _sig(report.accardi.slack)
+    row["accardi_verdict"] = params.verdict
+    row["accardi_slack"] = _sig(params.slack)
     row["lp_feasible"] = report.lp.feasible
     row["lp_max_violation"] = _sig(report.lp.max_violation)
     row["error"] = None

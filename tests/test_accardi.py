@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from contextuality import TripleParams, accardi_check, bistochastic_triple_problem, decide_feasibility
+from contextuality import (
+    ExactQuantumModel,
+    ObservableSet,
+    TripleParams,
+    bistochastic_triple_problem,
+    decide_feasibility,
+    triple_params,
+)
 
 
 def params(p, q, r, applicable=True):
@@ -18,22 +25,20 @@ def params(p, q, r, applicable=True):
 
 
 def test_uniform_triple_is_classical():
-    verdict = accardi_check(params(0.5, 0.5, 0.5))
+    verdict = params(0.5, 0.5, 0.5)
     assert verdict.verdict == "classical"
-    assert verdict.lower == 0.0
-    assert verdict.upper == 1.0
     assert verdict.slack == 0.5
 
 
 def test_transitivity_contradiction_is_contextual():
     # A tracks B and B tracks C perfectly, yet C never tracks A
-    verdict = accardi_check(params(1.0, 1.0, 0.0))
+    verdict = params(1.0, 1.0, 0.0)
     assert verdict.verdict == "contextual"
-    assert verdict.lower == 1.0
+    assert verdict.slack == -1.0
 
 
 def test_trine_parameters_are_contextual_and_lp_confirms():
-    verdict = accardi_check(params(0.25, 0.25, 0.25))
+    verdict = params(0.25, 0.25, 0.25)
     assert verdict.verdict == "contextual"
     assert verdict.slack == pytest.approx(-0.25)
     lp = decide_feasibility(bistochastic_triple_problem(0.25, 0.25, 0.25))
@@ -41,16 +46,15 @@ def test_trine_parameters_are_contextual_and_lp_confirms():
 
 
 def test_boundary_case_counts_as_classical():
-    verdict = accardi_check(params(0.9, 0.9, 0.8))
+    verdict = params(0.9, 0.9, 0.8)
     assert verdict.verdict == "classical"
-    assert verdict.lower == pytest.approx(0.8)
-    assert verdict.upper == pytest.approx(1.0)
+    assert verdict.slack == pytest.approx(0.0, abs=1e-12)
     lp = decide_feasibility(bistochastic_triple_problem(0.9, 0.9, 0.8))
     assert lp.feasible
 
 
 def test_not_applicable_still_reports_slack():
-    verdict = accardi_check(params(0.25, 0.25, 0.25, applicable=False))
+    verdict = params(0.25, 0.25, 0.25, applicable=False)
     assert verdict.verdict == "not_applicable"
     assert verdict.slack == pytest.approx(-0.25)
 
@@ -61,7 +65,7 @@ GRID = np.linspace(0.0, 1.0, 11)
 def test_verdict_invariant_under_parameter_permutations():
     for p, q, r in itertools.product(GRID, repeat=3):
         verdicts = {
-            accardi_check(params(*perm)).verdict
+            params(*perm).verdict
             for perm in itertools.permutations((p, q, r))
         }
         assert len(verdicts) == 1, (p, q, r, verdicts)
@@ -70,12 +74,19 @@ def test_verdict_invariant_under_parameter_permutations():
 def test_verdict_invariant_under_outcome_relabelings():
     # relabeling one observable's outcomes flips two of the parameters
     for p, q, r in itertools.product(GRID, repeat=3):
-        base = accardi_check(params(p, q, r)).verdict
-        assert accardi_check(params(1 - p, 1 - q, r)).verdict == base
-        assert accardi_check(params(p, 1 - q, 1 - r)).verdict == base
-        assert accardi_check(params(1 - p, q, 1 - r)).verdict == base
+        base = params(p, q, r).verdict
+        assert params(1 - p, 1 - q, r).verdict == base
+        assert params(p, 1 - q, 1 - r).verdict == base
+        assert params(1 - p, q, 1 - r).verdict == base
 
 
 def test_parameters_outside_unit_interval_rejected():
     with pytest.raises(ValueError):
         params(1.2, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("ids", [("A", "A", "B"), ("A", "B", "A"), ("C", "C", "C")])
+def test_triple_params_needs_three_distinct_ids(ids):
+    source = ExactQuantumModel(ObservableSet.from_ids(["A", "B", "C"]), (0.0, 120.0, 240.0))
+    with pytest.raises(ValueError, match="three distinct observables"):
+        triple_params(source, ids)

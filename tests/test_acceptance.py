@@ -16,7 +16,6 @@ from contextuality import (
     ContextHypergraph,
     SamplingPlan,
     TripleParams,
-    accardi_check,
     bistochastic_triple_problem,
     decide_feasibility,
     enumerate_two_valued_states,
@@ -43,7 +42,7 @@ def _grid_chunk(points):
     """(checked, agreements) for a chunk of (p, q, r) grid points."""
     checked = agreements = 0
     for p, q, r in points:
-        verdict = accardi_check(_params(p, q, r))
+        verdict = _params(p, q, r)
         if abs(verdict.slack) <= SLACK_BAND:
             continue
         lp = decide_feasibility(bistochastic_triple_problem(p, q, r, FEAS_TOL))
@@ -79,7 +78,7 @@ def test_c2_verdict_invariant_under_permutations():
     checked = 0
     for p, q, r in itertools.product(GRID, repeat=3):
         verdicts = {
-            accardi_check(_params(*perm)).verdict
+            _params(*perm).verdict
             for perm in itertools.permutations((p, q, r))
         }
         checked += 1
@@ -102,16 +101,16 @@ def test_c3_classical_soundness():
     assert len(triples) == 20
     for report in exact_reports:
         assert report.lp.feasible, report.ids
-        assert report.accardi.verdict in ("classical", "not_applicable"), report.ids
+        assert report.params.verdict in ("classical", "not_applicable"), report.ids
     assert exact.pers_lp == 0.0
 
     empirical_reports = evaluate_triples(sample.dataset, triples, plan)
     empirical = summarize(empirical_reports)
     assert empirical.pers_lp == 0.0
     boundary_only = all(
-        abs(r.accardi.slack) < 0.02
+        abs(r.params.slack) < 0.02
         for r in empirical_reports
-        if r.accardi is not None and r.accardi.verdict == "contextual"
+        if r.params is not None and r.params.verdict == "contextual"
     )
     assert boundary_only
     print(
@@ -132,7 +131,7 @@ def test_c4_quantum_completeness():
     report = reports[0]
     for value in (report.params.p, report.params.q, report.params.r):
         assert abs(value - 0.25) <= 1e-12
-    assert abs(report.accardi.slack - (-0.25)) <= 1e-12
+    assert abs(report.params.slack - (-0.25)) <= 1e-12
     assert not report.lp.feasible
     assert report.lp.max_violation > 1e-3
     assert estimate.pers_accardi == 1.0

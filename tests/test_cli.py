@@ -77,6 +77,8 @@ class TestGen:
             (["--pairs", "0-x"], "--pairs entries look like i-j, got '0-x'"),
             (["--pairs", "0-0"], "invalid measurement pair (0, 0)"),
             (["--pairs", "0-3"], "invalid measurement pair (0, 3)"),
+            (["--pairs", "0-1,1-0"], "measurement pair (1, 0) is listed twice"),
+            (["--pairs", "0-1,0-1"], "measurement pair (0, 1) is listed twice"),
             (["--angles", "0,a"], "--angles must be comma-separated numbers, got '0,a'"),
         ],
     )
@@ -388,8 +390,14 @@ class TestTriple:
              "--ids", "a0,a1,a2"]
         )
         assert code == 0, err
-        assert "accardi: contextual" in out
-        assert "lp: infeasible" in out
+        assert out == (
+            "triple: a0,a1,a2\n"
+            "p=0.253767337241 q=0.247389379851 r=0.254425514696\n"
+            "deviations: 0.00510355616664 0.00442506195343 0.0182247828823\n"
+            "applicable: yes\n"
+            "accardi: contextual (slack -0.244417768212)\n"
+            "lp: infeasible (max violation 0.0441333333333)\n"
+        )
 
     def test_two_ids_is_usage_error(self, trine_dir):
         code, _, _ = run(
@@ -539,9 +547,14 @@ class TestTripleOnJointInput:
         code, out, err = run(["triple", "--input", str(data), "--ids", "A,B,C"])
         assert code == 0, err
         # B copies A, C complements it: boundary-classical and feasible
-        assert "p=1 q=0 r=0" in out
-        assert "accardi: classical" in out
-        assert "lp: feasible" in out
+        assert out == (
+            "triple: A,B,C\n"
+            "p=1 q=0 r=0\n"
+            "deviations: 0 0 0\n"
+            "applicable: yes\n"
+            "accardi: classical (slack 0)\n"
+            "lp: feasible (max violation 2.77555756156e-17)\n"
+        )
 
 
 def test_every_command_opens_its_files_as_utf8(tmp_path):

@@ -1,6 +1,7 @@
 import io
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from contextuality import (
     ProblemTooLarge,
     SolverFailure,
     TransitionMatrix,
-    accardi_check,
     bistochastic_triple_problem,
     build_problem,
     decide_feasibility,
@@ -201,6 +201,13 @@ class TestWitnessRecheck:
         with pytest.raises(SolverFailure, match="witness violates targets by 1e-06"):
             decide_feasibility(problem)
 
+    def test_solver_status_is_a_solver_failure(self, monkeypatch):
+        broken = SimpleNamespace(status=4, message="numerical difficulties")
+        monkeypatch.setattr(feasibility, "linprog", lambda *args, **kwargs: broken)
+        problem = JointFeasibilityProblem(3, 2, {(0, 1): np.full((2, 2), 0.25)})
+        with pytest.raises(SolverFailure, match="solve failed: numerical difficulties"):
+            decide_feasibility(problem)
+
     @settings(max_examples=60, deadline=None)
     @given(
         t=st.integers(2, 6), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
@@ -320,9 +327,7 @@ class TestProperties:
     def test_accardi_equivalence_on_coarse_grid(self):
         grid = np.linspace(0.0, 1.0, 9)
         for p, q, r in itertools.product(grid, repeat=3):
-            verdict = accardi_check(
-                TripleParams(("A", "B", "C"), p, q, r, True, (0.0, 0.0, 0.0))
-            )
+            verdict = TripleParams(("A", "B", "C"), p, q, r, True, (0.0, 0.0, 0.0))
             if abs(verdict.slack) <= 1e-6:
                 continue
             lp = decide_feasibility(bistochastic_triple_problem(p, q, r))
@@ -374,16 +379,16 @@ class TestFromDataset:
     def test_classical_triples_are_feasible(self):
         sample = gen_classical(ClassicalModelSpec(num_observables=4, num_records=0, seed=5))
         for ids in itertools.combinations(sample.exact.observables.ids(), 3):
-            params, verdict, lp = feasibility_from_dataset(sample.exact, ids)
+            params, lp = feasibility_from_dataset(sample.exact, ids)
             assert lp.feasible
-            assert verdict.verdict in ("classical", "not_applicable")
+            assert params.verdict in ("classical", "not_applicable")
 
     def test_trine_dataset_contextual_and_infeasible(self):
         sample = gen_quantum(
             QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
         )
-        params, verdict, lp = feasibility_from_dataset(sample.dataset, ("a0", "a1", "a2"))
-        assert verdict.verdict == "contextual"
+        params, lp = feasibility_from_dataset(sample.dataset, ("a0", "a1", "a2"))
+        assert params.verdict == "contextual"
         assert not lp.feasible
         for value in (params.p, params.q, params.r):
             assert abs(value - 0.25) < 0.01
@@ -396,8 +401,8 @@ class TestFromDataset:
         from contextuality import JointRecordDataset
 
         dataset = JointRecordDataset(ObservableSet.from_ids(["A", "B", "C"]), records)
-        params, verdict, lp = feasibility_from_dataset(dataset, ("A", "B", "C"))
+        params, lp = feasibility_from_dataset(dataset, ("A", "B", "C"))
         assert (params.p, params.q, params.r) == (1.0, 0.0, 0.0)
         # lower = 0, upper = 0, r = 0: boundary-classical, and a joint exists
-        assert verdict.verdict == "classical"
+        assert params.verdict == "classical"
         assert lp.feasible

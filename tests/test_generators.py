@@ -8,7 +8,6 @@ from contextuality import (
     QubitModelSpec,
     Sample,
     SamplingPlan,
-    accardi_check,
     analyze,
     feasibility_from_dataset,
     gen_classical,
@@ -69,6 +68,10 @@ class TestClassicalGenerator:
             ClassicalModelSpec(num_observables=17, num_records=1)
         with pytest.raises(ValueError):
             ClassicalModelSpec(num_observables=2, num_records=1, distribution=np.ones(4))
+        with pytest.raises(ValueError, match="num_records must be non-negative"):
+            ClassicalModelSpec(num_observables=2, num_records=-1)
+        with pytest.raises(ValueError, match=r"distribution needs 2\*\*2 entries"):
+            ClassicalModelSpec(num_observables=2, num_records=1, distribution=np.full(8, 0.125))
 
     def test_nan_entry_rejected(self):
         # NaN passes the sign and sum checks, and would only fail in the sampler
@@ -88,8 +91,7 @@ class TestQuantumGenerator:
         params, _ = triple_params(sample.exact, ("a0", "a1", "a2"))
         for value in (params.p, params.q, params.r):
             assert value == pytest.approx(0.25, abs=1e-12)
-        verdict = accardi_check(params)
-        assert verdict.slack == pytest.approx(-0.25, abs=1e-12)
+        assert params.slack == pytest.approx(-0.25, abs=1e-12)
 
     def test_trine_empirical_parameters_within_tolerance(self):
         sample = gen_quantum(
@@ -101,9 +103,9 @@ class TestQuantumGenerator:
 
     def test_exact_trine_violates_and_is_infeasible(self):
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=0))
-        params, verdict, lp = feasibility_from_dataset(sample.exact, ("a0", "a1", "a2"))
-        assert verdict.verdict == "contextual"
-        assert verdict.slack == pytest.approx(-0.25, abs=1e-12)
+        params, lp = feasibility_from_dataset(sample.exact, ("a0", "a1", "a2"))
+        assert params.verdict == "contextual"
+        assert params.slack == pytest.approx(-0.25, abs=1e-12)
         assert not lp.feasible
         assert lp.max_violation > 1e-3
 
@@ -135,3 +137,7 @@ class TestQuantumGenerator:
             QubitModelSpec(angles_deg=(0.0, 370.0), shots=1)
         with pytest.raises(ValueError):
             QubitModelSpec(angles_deg=(0.0, 90.0), shots=1, pairs=((0, 0),))
+        with pytest.raises(ValueError, match=r"pair \(1, 0\) is listed twice"):
+            QubitModelSpec(angles_deg=(0.0, 90.0), shots=1, pairs=((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="shots must be non-negative"):
+            QubitModelSpec(angles_deg=(0.0, 90.0), shots=-1)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from contextuality import hypergraph
 from contextuality import (
     ContextHypergraph,
     ProblemTooLarge,
+    SolverFailure,
     contingency_to_hypergraph,
     enumerate_two_valued_states,
     find_state,
@@ -55,6 +58,17 @@ class TestValidate:
         with pytest.raises(ValueError):
             ContextHypergraph(atoms=("a",), contexts=(("a", "z"),))
 
+    @pytest.mark.parametrize(
+        "atoms, contexts, message",
+        [
+            (("a", ""), (("a",),), "atom ids must be non-empty"),
+            (("a", "b"), (("a", "b"), ()), "contexts must be non-empty"),
+        ],
+    )
+    def test_empty_atom_or_context_rejected_at_construction(self, atoms, contexts, message):
+        with pytest.raises(ValueError, match=message):
+            ContextHypergraph(atoms=atoms, contexts=contexts)
+
 
 class TestFindState:
     def test_single_context_has_a_state(self):
@@ -100,6 +114,27 @@ class TestFindState:
         h = ContextHypergraph(atoms=(), contexts=())
         assert find_state(h) == hypergraph.State({})
         assert state_is_unique(h)
+
+    @pytest.mark.parametrize("solve", [find_state, state_is_unique])
+    def test_duplicate_atom_ids_are_refused_before_solving(self, solve):
+        h = ContextHypergraph(atoms=("a", "b", "a"), contexts=(("a", "b"),))
+        with pytest.raises(ValueError, match="duplicate atom ids"):
+            solve(h)
+
+    @pytest.mark.parametrize(
+        "result, message",
+        [
+            (SimpleNamespace(status=4, message="numerical difficulties"),
+             "state solve failed: numerical difficulties"),
+            # all zeros: every triangle context sums to 0, not 1
+            (SimpleNamespace(status=0, x=np.zeros(3)), "fails independent recheck"),
+        ],
+        ids=["status", "recheck"],
+    )
+    def test_solver_breakdown_is_a_solver_failure(self, monkeypatch, result, message):
+        monkeypatch.setattr(hypergraph, "linprog", lambda *args, **kwargs: result)
+        with pytest.raises(SolverFailure, match=message):
+            find_state(TRIANGLE)
 
     def test_infeasible_system_returns_none(self):
         # a = 1 and b = 1 contradict a + b = 1

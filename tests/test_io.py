@@ -639,6 +639,10 @@ class TestReportSerialization:
         assert float(row["accardi_slack"]) == pytest.approx(-0.25, abs=0.05)
         assert row["lp_feasible"] == "false"
 
+    def test_unknown_format_is_rejected(self, report):
+        with pytest.raises(ValueError, match="unknown report format 'xml'"):
+            write_report(report, format="xml")
+
     def test_empty_report(self):
         sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 90.0), shots=10, seed=1))
         from contextuality.personalization import summarize

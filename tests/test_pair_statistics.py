@@ -202,9 +202,11 @@ class TestFieldChecks:
             (lambda: ExactJointTable(OBS_AB, [0.5, 0.5]), r"need 2\*\*2 probabilities, got 2"),
             (lambda: ExactJointTable(OBS_AB, [0.5, 0.75, -0.25, 0.0]), "must be non-negative"),
             (lambda: ExactJointTable(OBS_AB, [0.25, 0.25, 0.25, 0.0]), "must sum to 1"),
+            (lambda: ExactQuantumModel(OBS_AB, (0.0, 90.0, 180.0)), "one angle per observable"),
+            (lambda: ObservableSet.from_ids([]), "needs at least one observable"),
         ],
         ids=["records-width", "records-1d", "records-value", "pairlog-2d", "pairlog-length",
-             "exact-size", "exact-negative", "exact-sum"],
+             "exact-size", "exact-negative", "exact-sum", "quantum-angles", "observables-empty"],
     )
     def test_sources_reject_malformed_arrays(self, build, message):
         with pytest.raises(ValueError, match=message):

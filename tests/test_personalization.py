@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -192,3 +193,16 @@ class TestEstimatePers:
         assert estimate.violations[1] <= estimate.decided
         assert estimate.ci95_accardi[0] <= estimate.pers_accardi <= estimate.ci95_accardi[1]
         assert estimate.ci95_lp[0] <= estimate.pers_lp <= estimate.ci95_lp[1]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"pers_accardi": 1.5}, "ratios must lie in"),
+            ({"pers_lp": -0.5}, "ratios must lie in"),
+            ({"violations": (1, 0)}, "violation counts exceed"),
+            ({"violations": (0, 1)}, "violation counts exceed"),
+        ],
+    )
+    def test_estimate_rejects_inconsistent_tallies(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(summarize([]), **fields)
