@@ -48,7 +48,6 @@ from .generators import (
 from .hypergraph import (
     ContextHypergraph,
     State,
-    TwoValuedState,
     ValidationReport,
     contingency_to_hypergraph,
     enumerate_two_valued_states,
@@ -99,7 +98,6 @@ __all__ = [
     "TransitionMatrix",
     "TripleParams",
     "TripleReport",
-    "TwoValuedState",
     "UnknownObservable",
     "ValidationReport",
     "ZeroConditioningRow",

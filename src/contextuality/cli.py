@@ -7,7 +7,8 @@ Subcommands:
     greechie  hypergraph file -> validation, state, two-valued count
     gen       classical | quantum -> dataset file + exact tables file
 
-Exit status: 0 success, 1 usage error, 2 data error, 3 solver failure.
+Exit status: 0 success, 1 usage error, 2 data error (including a file
+that cannot be opened, read or written), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ def cli_main(argv=None, out=None, err=None) -> int:
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    # json.JSONDecodeError is a ValueError
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
+    # a file that cannot be opened, read or written raises OSError; bad JSON, ValueError
+    except (DataError, OSError, ValueError) as exc:
         err.write(f"data error: {exc}\n")
         return EXIT_DATA
     except SolverFailure as exc:

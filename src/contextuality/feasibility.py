@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from . import triple_duals
 from .accardi import DEFAULT_BISTOCHASTIC_TOL, TripleParams, triple_params
@@ -167,6 +165,15 @@ TRIPLE_DUAL_VERTICES = frozen_array(_expand_orbits(triple_duals.ORBITS), np.int6
 _TRIPLE_DUALS = frozen_array(TRIPLE_DUAL_VERTICES / triple_duals.SCALE, np.float64)
 
 
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first call: importing this
+    package loads no scipy module, and a run that needs no HiGHS solve
+    never does."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def linear_feasibility(
     outcomes: np.ndarray, targets: np.ndarray, primal_tol: float
 ) -> tuple[float, np.ndarray]:
@@ -181,6 +188,8 @@ def linear_feasibility(
         SolverFailure: numerical breakdown; this program is feasible and
             bounded by construction, so any solver failure is numerical.
     """
+    from scipy import sparse
+
     num_rows, width = outcomes.shape
     num_vars = int(outcomes.max()) + 1  # each pair's rows list every outcome once
     indices = np.tile(np.hstack([outcomes, np.full((num_rows, 1), num_vars)]), (2, 1))

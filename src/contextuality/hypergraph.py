@@ -8,7 +8,7 @@ classical probability may or may not survive globally:
 * a *state* assigns each atom a probability so that every context sums
   to 1, a point of {A x = 1, 0 <= x <= 1} with A the context-by-atom
   incidence matrix: the one LP model of every state question here;
-* a *two-valued state* assigns 0/1 with exactly one 1 per context; its
+* a *two-valued state* is a state valued 0 or 1, one 1 per context; its
   non-existence is a Kochen-Specker-type obstruction.
 
 Contexts of size 2 and cycles of any length are permitted here, although
@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import ProblemTooLarge, SolverFailure
+from .feasibility import linprog
 
 STATE_TOL = 1e-9
 MAX_STATE_ATOMS = 10**4
@@ -97,16 +97,6 @@ class State:
             if abs(total - 1.0) > tol:
                 return False
         return all(-tol <= v <= 1.0 + tol for v in self.values.values())
-
-
-@dataclass(frozen=True)
-class TwoValuedState:
-    """A 0/1 state: exactly one atom valued 1 in every context."""
-
-    values: dict[str, int]
-
-    def as_state(self) -> State:
-        return State({a: float(v) for a, v in self.values.items()})
 
 
 def validate(hypergraph: ContextHypergraph) -> ValidationReport:
@@ -213,8 +203,9 @@ def _solve_with_objective(rows, cost) -> np.ndarray | None:
 
 def enumerate_two_valued_states(
     hypergraph: ContextHypergraph, limit: int | None = None
-) -> list[TwoValuedState]:
-    """All 0/1 states with exactly one atom true per context.
+) -> list[State]:
+    """All two-valued states: each atom valued 0.0 or 1.0, with exactly one
+    atom valued 1.0 per context.
 
     Exhaustive backtracking, deterministic: contexts are visited in
     declaration order; a context holding no true atom tries each of its
@@ -255,7 +246,7 @@ def enumerate_two_valued_states(
     search(0, frozenset(), frozenset())
     ordered_ids = sorted(set(atoms))
     found.sort(key=lambda true: tuple(a in true for a in ordered_ids))
-    return [TwoValuedState({a: int(a in true) for a in atoms}) for true in found]
+    return [State({a: float(a in true) for a in atoms}) for true in found]
 
 
 def is_connected(hypergraph: ContextHypergraph) -> bool:

@@ -26,7 +26,7 @@ from .datasets import JointRecordDataset, PairLogDataset
 from .errors import HeaderMismatch, NonBinaryValue, ParseError
 from .feasibility import DEFAULT_FEASIBILITY_TOL, JointFeasibilityProblem
 from .hypergraph import ContextHypergraph
-from .observables import ObservableSet
+from .observables import ObservableSet, writable_ids
 
 _LINE_BLOCK_CHARS = 1 << 16
 _MEMO_LINES = 1 << 12  # distinct lines remembered at a time, so no file is held whole
@@ -116,18 +116,10 @@ def read_joint(path) -> JointRecordDataset:
     return JointRecordDataset(observables, _gather(lines, parse_row, len(names)))
 
 
-def _writable_ids(observables: ObservableSet) -> tuple[str, ...]:
-    """The ids, or ValueError naming the first that would not read back."""
-    for name in observables.ids():
-        if "," in name or name.splitlines() != [name] or name.strip() != name:
-            raise ValueError(f"observable id {name!r} would not read back as written")
-    return observables.ids()
-
-
 def write_joint(dataset: JointRecordDataset, path) -> None:
     """Each block of records is written as one ASCII array: a digit at every
     even column, then ``,`` or, at the row end, a newline."""
-    header = ",".join(_writable_ids(dataset.observables)) + "\n"
+    header = ",".join(writable_ids(dataset.observables.ids())) + "\n"
     with open(path, "w", encoding="utf-8") as out:
         out.write(header)
         for start in range(0, len(dataset), _WRITE_BLOCK_ROWS):
@@ -172,7 +164,7 @@ def read_pairlog(path) -> PairLogDataset:
 def write_pairlog(dataset: PairLogDataset, path) -> None:
     """Each line is a head for (first observable, value) plus a tail for
     (second observable, value), both looked up by ``2 * index + value``."""
-    ids = _writable_ids(dataset.observables)
+    ids = writable_ids(dataset.observables.ids())
     heads = [f"{name},{value}," for name in ids for value in (0, 1)]
     tails = [f"{name},{value}\n" for name in ids for value in (0, 1)]
     with open(path, "w", encoding="utf-8") as out:

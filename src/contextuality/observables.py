@@ -55,3 +55,12 @@ class ObservableSet:
         return ObservableSet(
             tuple(self.observables[self.index_of(i)] for i in ids), source=self.source
         )
+
+
+def writable_ids(ids: tuple[str, ...]) -> tuple[str, ...]:
+    """The ids, or ValueError naming the first that would not read back from
+    a CSV field: one holding a comma, a line break or outer whitespace."""
+    for name in ids:
+        if "," in name or name.splitlines() != [name] or name.strip() != name:
+            raise ValueError(f"observable id {name!r} would not read back as written")
+    return ids

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, get_args
 
 from .accardi import DEFAULT_BISTOCHASTIC_TOL, TripleParams
@@ -170,7 +170,7 @@ def sample_triples(
             raise ProblemTooLarge(f"{population} triples exceed the cap {MAX_TRIPLES}")
         ranks = range(population)
     else:
-        requested = resolve_plan(plan, observables).num_triples
+        requested = min(1000, population) if plan.num_triples is None else plan.num_triples
         rng = random.Random(plan.seed)
         if plan.mode == "with_replacement":
             ranks = [rng.randrange(population) for _ in range(requested)]
@@ -231,10 +231,3 @@ def summarize(reports: list[TripleReport]) -> PersEstimate:
         ci95_accardi=wilson_interval(accardi_violations, applicable),
         ci95_lp=wilson_interval(lp_violations, decided),
     )
-
-
-def resolve_plan(plan: SamplingPlan, observables: ObservableSet) -> SamplingPlan:
-    """A copy of the plan with num_triples made explicit for reporting."""
-    if plan.num_triples is not None or plan.mode == "exhaustive":
-        return plan
-    return replace(plan, num_triples=min(1000, math.comb(len(observables), 3)))

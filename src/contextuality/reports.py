@@ -9,15 +9,15 @@ separate block excluded from determinism guarantees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
+from .observables import writable_ids
 from .personalization import (
     PersEstimate,
     SamplingPlan,
     TripleReport,
     evaluate_triples,
-    resolve_plan,
     sample_triples,
     summarize,
 )
@@ -38,10 +38,12 @@ class AnalysisReport:
 
 def analyze(source, plan: SamplingPlan) -> AnalysisReport:
     """The pipeline: sample triples of ``source.observables``, evaluate
-    them, tally the ratios, and package everything into one report."""
+    them, tally the ratios, and package everything into one report, whose
+    plan records how many triples were drawn (None when exhaustive)."""
     observables = source.observables
-    plan = resolve_plan(plan, observables)
     triples = sample_triples(observables, plan)
+    if plan.mode != "exhaustive":
+        plan = replace(plan, num_triples=len(triples))
     reports = evaluate_triples(source, triples, plan)
     return AnalysisReport(
         source=observables.source or "<in-memory>",
@@ -141,7 +143,8 @@ def write_report(
 
     JSON carries the full body (and, when given, a separate "metadata"
     block).  CSV is the plot-ready tabular view: one row per sampled
-    triple with slack and residual columns.
+    triple with slack and residual columns.  It raises ValueError, before
+    any text is built, on an observable id that would not read back.
     """
     if format == "json":
         document = {"report": report_body(report)}
@@ -149,6 +152,7 @@ def write_report(
             document["metadata"] = metadata
         return json.dumps(document, indent=2) + "\n"
     if format == "csv":
+        writable_ids(report.observable_ids)
         lines = [",".join(_CSV_COLUMNS)]
         for triple in report.triples:
             row = _triple_row(triple)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import weakref
 from pathlib import Path
 
@@ -198,9 +199,28 @@ class TestPers:
         assert code == 2
         assert "at least 3 observables" in err
 
-    def test_missing_file_is_data_error(self, tmp_path):
-        code, _, err = run(["pers", "--input", str(tmp_path / "nope.csv")])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pers", "--input", "nope.csv"],
+            ["pers", "--input", "pairs/x"],
+            ["pers", "--input", "pairs", "--input-format", "pairlog", "--out", "pairs/r.json"],
+            ["lp", "pairs/x"],
+            ["greechie", "pairs/x"],
+            ["gen", "classical", "--t", "3", "--n", "5", "--out", "pairs"],
+            ["pers", "--input", "x" * 300],
+        ],
+        ids=["missing", "file-as-directory", "out-under-a-file", "lp", "greechie",
+             "gen-out-is-a-file", "name-too-long"],
+    )
+    def test_file_system_error_is_data_error(self, trine_dir, monkeypatch, argv):
+        # every OSError, not only a missing file, is a data error, and gen writes nothing
+        monkeypatch.chdir(trine_dir)
+        before = {path: path.read_bytes() for path in trine_dir.iterdir()}
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+        assert {path: path.read_bytes() for path in trine_dir.iterdir()} == before
 
     def test_dataset_is_freed_before_the_report_is_written(self, trine_dir, monkeypatch):
         refs = []
@@ -321,8 +341,14 @@ class TestPers:
              "ae075b4f2b188840148ee334b033dd18b0e65c6849ced94b5a38ab8ed2d860dd"),
             (["classical", "--t", "6", "--n", "2000"], ["records"],
              "2b134977c183921c30e83bbe98307b4f58e276455bb89c91fb8cd57a72919c50"),
+            (["quantum", "--angles", "0,60,120,180,240,300", "--n", "500"],
+             ["pairs", "--input-format", "pairlog", "--mode", "with_replacement",
+              "--triples", "30", "--seed", "2"],
+             "3404f49f33a0531095257b63988aae0de1c7fd09f71a2a1c1e3bf591f6c34f0f"),
+            (["classical", "--t", "6", "--n", "2000"], ["records", "--triples", "7", "--seed", "4"],
+             "5de18a96c2a9fb64b6fb248633183501a1e1f5c61212da9b3c0b2fd1ea6ae9b9"),
         ],
-        ids=["pairlog", "joint"],
+        ids=["pairlog", "joint", "pairlog-with-replacement", "joint-given-count"],
     )
     def test_report_body_is_pinned(self, tmp_path, monkeypatch, gen, pers, expected):
         # parsing, statistics and serialization must leave the report bytes as
@@ -584,3 +610,44 @@ def test_every_command_opens_its_files_as_utf8(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert (tmp_path / "r.json").exists() and "two-valued states: 2" in proc.stdout
+
+
+def test_scipy_is_imported_by_the_first_solve_only(trine_dir):
+    # the trine is a binary triple, decided in closed form; a partial
+    # problem (two pairs of three observables) needs HiGHS
+    pair = {"table": [[0.5, 0.0], [0.0, 0.5]]}
+    (trine_dir / "m.json").write_text(json.dumps({
+        "observables": ["A", "B", "C"], "num_outcomes": 2,
+        "pairs": [{**pair, "pair": ["A", "B"]}, {**pair, "pair": ["B", "C"]}],
+    }), encoding="utf-8")
+    script = textwrap.dedent("""
+        import io, json, sys
+        def scipy_modules():
+            return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+        loaded = {}
+        import contextuality
+        loaded["import"] = scipy_modules()
+        from contextuality.cli import cli_main
+        loaded["import cli"] = scipy_modules()
+        out = io.StringIO()
+        code = cli_main(["pers", "--input", "pairs", "--input-format", "pairlog",
+                         "--mode", "exhaustive"], out=out)
+        sampled = json.loads(out.getvalue())["report"]["pers"]["sampled"]
+        loaded["pers"] = (code, sampled, scipy_modules())
+        out = io.StringIO()
+        code = cli_main(["lp", "m.json"], out=out)
+        loaded["lp"] = (code, out.getvalue().splitlines()[0], "scipy.optimize" in sys.modules)
+        print(json.dumps(loaded))
+    """)
+    src = str(Path(contextuality.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=trine_dir, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "import": [],
+        "import cli": [],
+        "pers": [0, 1, []],
+        "lp": [0, "feasible: yes", True],
+    }

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -253,7 +254,7 @@ class TestAssembly:
         rows, rhs = pair_constraint_rows(t, n, tables)
         r, b = rows[:-1], rhs[:-1]  # the last oracle row is the mass row
         t_column = -np.ones((len(r), 1))
-        assert feasibility.sparse.issparse(kwargs["A_ub"])
+        assert scipy.sparse.issparse(kwargs["A_ub"])
         expected = np.block([[r, t_column], [-r, t_column]])
         assert np.array_equal(kwargs["A_ub"].toarray(), expected)
         assert np.array_equal(kwargs["b_ub"], np.concatenate([b, -b]))
@@ -273,7 +274,7 @@ class TestSparseAssembly:
 
         def spy(*args, **kwargs):
             a_ub = kwargs["A_ub"]
-            assembled.append((feasibility.sparse.issparse(a_ub), a_ub.nnz))
+            assembled.append((scipy.sparse.issparse(a_ub), a_ub.nnz))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(feasibility, "linprog", spy)

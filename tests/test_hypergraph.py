@@ -229,7 +229,7 @@ class TestTwoValuedStates:
         states = enumerate_two_valued_states(h)
         assert states
         for s in states:
-            assert s.as_state().satisfies(h, tol=0.0)
+            assert s.satisfies(h, tol=0.0)
 
     def test_two_valued_state_implies_probabilistic_state(self):
         cases = [

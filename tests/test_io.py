@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextuality import (
+    ExactQuantumModel,
     HeaderMismatch,
     JointRecordDataset,
     NonBinaryValue,
@@ -638,6 +639,17 @@ class TestReportSerialization:
         assert row["accardi_verdict"] == "contextual"
         assert float(row["accardi_slack"]) == pytest.approx(-0.25, abs=0.05)
         assert row["lp_feasible"] == "false"
+
+    @pytest.mark.parametrize("bad", ["a,b", "c\nd", " e"])
+    def test_csv_refuses_an_id_that_would_not_read_back(self, bad):
+        # the dataset writers' rule: such an id would split or shift a CSV row
+        ids = ObservableSet.from_ids(["A", bad, "C"])
+        report = analyze(ExactQuantumModel(ids, (0.0, 120.0, 240.0)), SamplingPlan())
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_report(report, format="csv")
+        body = json.loads(write_report(report))["report"]
+        assert body["config"]["observables"] == ["A", bad, "C"]
+        assert body["triples"][0]["observables"] == ["A", bad, "C"]
 
     def test_unknown_format_is_rejected(self, report):
         with pytest.raises(ValueError, match="unknown report format 'xml'"):
