@@ -38,13 +38,7 @@ from .feasibility import (
     decide_feasibility,
     feasibility_from_dataset,
 )
-from .generators import (
-    ClassicalModelSpec,
-    QubitModelSpec,
-    Sample,
-    gen_classical,
-    gen_quantum,
-)
+from .generators import Sample, gen_classical, gen_quantum
 from .hypergraph import (
     ContextHypergraph,
     State,
@@ -71,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "ClassicalModelSpec",
     "ContextHypergraph",
     "ContextualityError",
     "DataError",
@@ -88,7 +81,6 @@ __all__ = [
     "ParseError",
     "PersEstimate",
     "ProblemTooLarge",
-    "QubitModelSpec",
     "Sample",
     "SampleExceedsPopulation",
     "SamplingPlan",

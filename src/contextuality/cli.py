@@ -23,7 +23,7 @@ from .accardi import DEFAULT_BISTOCHASTIC_TOL
 from .datasets import same_outcome_probability
 from .errors import DataError, ParseError, SolverFailure
 from .feasibility import DEFAULT_FEASIBILITY_TOL, decide_feasibility, feasibility_from_dataset
-from .generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from .generators import gen_classical, gen_quantum, logged_pairs
 from .hypergraph import enumerate_two_valued_states, find_state, is_connected, validate
 from .io import (
     read_hypergraph,
@@ -184,15 +184,14 @@ def _cmd_greechie(args, out) -> int:
     if limit < 1:
         raise _UsageError(f"--enumerate-limit must be at least 1, got {limit}")
     hypergraph = read_hypergraph(args.hypergraph)
-    report = validate(hypergraph)
-    for issue in report.issues():
-        out.write(f"invalid: {issue}\n")
-    state = find_state(hypergraph)
-    out.write(f"states: {'exists' if state is not None else 'none'}\n")
+    # every result is computed before any is written, so a failure prints nothing
+    lines = [f"invalid: {issue}" for issue in validate(hypergraph).issues()]
+    lines.append(f"states: {'exists' if find_state(hypergraph) is not None else 'none'}")
     # one state past the limit tells a capped count from an exact one
     count = len(enumerate_two_valued_states(hypergraph, limit=limit + 1))
-    out.write(f"two-valued states: {f'at least {limit}' if count > limit else count}\n")
-    out.write(f"connected: {'yes' if is_connected(hypergraph) else 'no'}\n")
+    lines.append(f"two-valued states: {f'at least {limit}' if count > limit else count}")
+    lines.append(f"connected: {'yes' if is_connected(hypergraph) else 'no'}")
+    out.write("".join(f"{line}\n" for line in lines))
     return EXIT_OK
 
 
@@ -208,12 +207,9 @@ def _cmd_gen_classical(args, out) -> int:
         except OverflowError:  # an integer too large for a float
             raise DataError(f"{args.table}: --table entries must fit in a float") from None
     try:
-        spec = ClassicalModelSpec(
-            num_observables=args.t, num_records=args.n, seed=args.seed, distribution=table
-        )
+        sample = gen_classical(args.t, args.n, args.seed, table)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    sample = gen_classical(spec)
     exact = {
         "observables": list(sample.exact.observables.ids()),
         "table": [float(_sig(v)) for v in sample.exact.probabilities],
@@ -243,17 +239,16 @@ def _cmd_gen_quantum(args, out) -> int:
         raise _UsageError(f"--angles must be comma-separated numbers, got {args.angles!r}") from None
     pairs = None if args.pairs is None else _parse_pairs(args.pairs)
     try:
-        spec = QubitModelSpec(angles_deg=angles, shots=args.n, seed=args.seed, pairs=pairs)
+        sample = gen_quantum(angles, args.n, args.seed, pairs)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    sample = gen_quantum(spec)
     ids = sample.exact.observables.ids()
     exact = {
         "observables": list(ids),
-        "angles_deg": [float(_sig(a)) for a in spec.angles_deg],
+        "angles_deg": [float(_sig(a)) for a in angles],
         "transition_params": {
             f"{ids[i]},{ids[j]}": float(_sig(same_outcome_probability(angles[i], angles[j])))
-            for i, j in spec.logged_pairs()
+            for i, j in logged_pairs(len(angles), pairs)
         },
     }
     return _write_gen(args.out, "pairs", write_pairlog, sample.dataset, exact, out)

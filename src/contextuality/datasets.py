@@ -176,7 +176,8 @@ class PairLogDataset:
 @dataclass(frozen=True, eq=False)
 class ExactJointTable:
     """An explicit joint distribution over {0,1}^T: the infinite-sample limit
-    of a JointRecordDataset."""
+    of a JointRecordDataset.  Its 2**T entries must be finite, non-negative
+    and sum to 1."""
 
     observables: ObservableSet
     probabilities: np.ndarray  # flat, length 2**T, canonical outcome order
@@ -186,7 +187,9 @@ class ExactJointTable:
         probs = frozen_array(np.reshape(self.probabilities, -1), np.float64)
         if probs.size != 2**t:
             raise ValueError(f"need 2**{t} probabilities, got {probs.size}")
-        if probs.min() < -1e-12:
+        if not np.isfinite(probs).all():
+            raise ValueError("distribution entries must be finite")
+        if probs.min() < 0:
             raise ValueError("probabilities must be non-negative")
         if not math.isclose(probs.sum(), 1.0, abs_tol=1e-9):
             raise ValueError("probabilities must sum to 1")

@@ -7,13 +7,15 @@ pairs of planar qubit measurements on the maximally mixed state; for
 suitable angle sets (e.g. the trine 0, 120, 240) the pairwise statistics
 admit no joint distribution at all.
 
-Both generators are pure functions of their spec: the same seed yields
-byte-identical datasets, and per-pair streams are seeded independently
-so pair logs could be produced in parallel without changing the output.
+Both generators are pure functions of their arguments: the same seed
+yields byte-identical datasets, and per-pair streams are seeded
+independently so pair logs could be produced in parallel without
+changing the output.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,6 @@ from .datasets import (
     ExactQuantumModel,
     JointRecordDataset,
     PairLogDataset,
-    frozen_array,
     same_outcome_probability,
 )
 from .observables import ObservableSet
@@ -36,40 +37,6 @@ def _rng(*entropy) -> np.random.Generator:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassicalModelSpec:
-    """A single-sample-space source.
-
-    ``distribution`` is an explicit table of 2**T probabilities in
-    canonical outcome order, or None to draw one from the flat prior on
-    the simplex (seeded by ``seed``).
-    """
-
-    num_observables: int
-    num_records: int
-    seed: int = 0
-    distribution: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.num_observables <= MAX_CLASSICAL_OBSERVABLES:
-            raise ValueError(
-                f"num_observables must be in [1, {MAX_CLASSICAL_OBSERVABLES}]"
-            )
-        if self.num_records < 0:
-            raise ValueError("num_records must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.distribution is not None:
-            table = frozen_array(np.reshape(self.distribution, -1), np.float64)
-            if table.size != 2**self.num_observables:
-                raise ValueError(f"distribution needs 2**{self.num_observables} entries")
-            if not np.isfinite(table).all():
-                raise ValueError("distribution entries must be finite")
-            if table.min() < 0 or abs(table.sum() - 1.0) > 1e-9:
-                raise ValueError("distribution must be non-negative and sum to 1")
-            object.__setattr__(self, "distribution", table)
-
-
-@dataclass(frozen=True, eq=False)
 class Sample:
     """A generated dataset and the exact source it was drawn from."""
 
@@ -77,90 +44,87 @@ class Sample:
     exact: ExactJointTable | ExactQuantumModel
 
 
-def gen_classical(spec: ClassicalModelSpec) -> Sample:
-    """Sample records from the joint table; also return the exact table.
+def gen_classical(
+    num_observables: int, num_records: int, seed: int = 0, distribution=None
+) -> Sample:
+    """Sample records from a joint table; also return the exact table.
 
-    The exact table lets pipelines bypass sampling entirely
-    (infinite-sample mode).
+    ``distribution`` is a table of 2**T probabilities in canonical
+    outcome order, checked by ``ExactJointTable``, or None to draw one
+    from the flat prior on the simplex (seeded by ``seed``).  The exact
+    table lets pipelines bypass sampling entirely (infinite-sample mode).
     """
-    t = spec.num_observables
+    t = num_observables
+    if not 1 <= t <= MAX_CLASSICAL_OBSERVABLES:
+        raise ValueError(f"num_observables must be in [1, {MAX_CLASSICAL_OBSERVABLES}]")
+    if num_records < 0:
+        raise ValueError("num_records must be non-negative")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     size = 2**t
-    table = spec.distribution
-    if table is None:
-        table = _rng(spec.seed, 0).dirichlet(np.ones(size))
-        table = table / table.sum()
+    if distribution is None:
+        distribution = _rng(seed, 0).dirichlet(np.ones(size))
+        distribution = distribution / distribution.sum()
     observables = ObservableSet.from_ids(
-        (f"x{i}" for i in range(t)), source=f"classical(seed={spec.seed}, T={t})"
+        (f"x{i}" for i in range(t)), source=f"classical(seed={seed}, T={t})"
     )
-    outcomes = _rng(spec.seed, 1).choice(size, size=spec.num_records, p=table)
+    exact = ExactJointTable(observables, distribution)
+    outcomes = _rng(seed, 1).choice(size, size=num_records, p=exact.probabilities)
     shifts = np.arange(t - 1, -1, -1, dtype=np.uint16)  # T <= 16, so outcomes fit uint16
     records = (outcomes.astype(np.uint16)[:, None] >> shifts) & 1
-    dataset = JointRecordDataset(observables, records.astype(np.uint8))
-    return Sample(dataset=dataset, exact=ExactJointTable(observables, table))
+    return Sample(dataset=JointRecordDataset(observables, records.astype(np.uint8)), exact=exact)
 
 
-@dataclass(frozen=True)
-class QubitModelSpec:
-    """Planar projective measurements, identified by angles in degrees.
-
-    ``pairs`` lists index pairs to log (default: all pairs); ``shots``
-    is the number of measurement pairs per logged pair.  The preparation
-    is maximally mixed, so the first outcome of each pair is uniform and
-    all transition matrices are bistochastic in expectation.
-    """
-
-    angles_deg: tuple[float, ...]
-    shots: int
-    seed: int = 0
-    pairs: tuple[tuple[int, int], ...] | None = None
-
-    def __post_init__(self):
-        if len(self.angles_deg) < 2:
-            raise ValueError("need at least 2 measurement angles")
-        if any(not 0.0 <= a < 360.0 for a in self.angles_deg):
-            raise ValueError("angles must lie in [0, 360)")
-        if self.shots < 0:
-            raise ValueError("shots must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.pairs is not None:
-            n = len(self.angles_deg)
-            seen = set()
-            for a, b in self.pairs:
-                if not (0 <= a < n and 0 <= b < n) or a == b:
-                    raise ValueError(f"invalid measurement pair ({a}, {b})")
-                if frozenset((a, b)) in seen:
-                    raise ValueError(f"measurement pair ({a}, {b}) is listed twice")
-                seen.add(frozenset((a, b)))
-
-    def logged_pairs(self) -> tuple[tuple[int, int], ...]:
-        if self.pairs is not None:
-            return self.pairs
-        n = len(self.angles_deg)
-        return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+def logged_pairs(num_angles: int, pairs=None) -> tuple[tuple[int, int], ...]:
+    """The index pairs a qubit log records: every pair i < j when ``pairs``
+    is None; otherwise ``pairs``, each of two distinct indices in range,
+    and none listed twice in either order."""
+    if pairs is None:
+        return tuple(itertools.combinations(range(num_angles), 2))
+    seen = set()
+    for a, b in pairs:
+        if not (0 <= a < num_angles and 0 <= b < num_angles) or a == b:
+            raise ValueError(f"invalid measurement pair ({a}, {b})")
+        if frozenset((a, b)) in seen:
+            raise ValueError(f"measurement pair ({a}, {b}) is listed twice")
+        seen.add(frozenset((a, b)))
+    return tuple(pairs)
 
 
-def gen_quantum(spec: QubitModelSpec) -> Sample:
+def gen_quantum(angles_deg, shots: int, seed: int = 0, pairs=None) -> Sample:
     """Simulate pairwise measurement logs; also return the analytic model.
 
-    For each logged pair and each shot the first outcome is uniform and
-    the second agrees with probability cos^2(angle difference / 2).
+    Measurements are planar projections at ``angles_deg`` (degrees, each
+    in [0, 360)).  Each pair of ``logged_pairs(len(angles_deg), pairs)``
+    is measured ``shots`` times on the maximally mixed state: the first
+    outcome is uniform and the second agrees with probability
+    cos^2(angle difference / 2), so every transition matrix is
+    bistochastic in expectation.
     """
+    angles_deg = tuple(angles_deg)
+    if len(angles_deg) < 2:
+        raise ValueError("need at least 2 measurement angles")
+    if any(not 0.0 <= a < 360.0 for a in angles_deg):
+        raise ValueError("angles must lie in [0, 360)")
+    if shots < 0:
+        raise ValueError("shots must be non-negative")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    pairs = logged_pairs(len(angles_deg), pairs)
     observables = ObservableSet.from_ids(
-        (f"a{i}" for i in range(len(spec.angles_deg))),
-        source=f"quantum(seed={spec.seed}, angles={list(spec.angles_deg)})",
+        (f"a{i}" for i in range(len(angles_deg))),
+        source=f"quantum(seed={seed}, angles={list(angles_deg)})",
     )
-    pairs = spec.logged_pairs()
-    values = np.empty((2, len(pairs), spec.shots), dtype=np.int32)  # first, second
+    values = np.empty((2, len(pairs), shots), dtype=np.int32)  # first, second
     for pair_number, (i, j) in enumerate(pairs):
-        p_same = same_outcome_probability(spec.angles_deg[i], spec.angles_deg[j])
-        rng = _rng(spec.seed, pair_number)
-        a = rng.integers(0, 2, size=spec.shots)
-        agree = rng.random(spec.shots) < p_same
+        p_same = same_outcome_probability(angles_deg[i], angles_deg[j])
+        rng = _rng(seed, pair_number)
+        a = rng.integers(0, 2, size=shots)
+        agree = rng.random(shots) < p_same
         values[:, pair_number] = a, np.where(agree, a, 1 - a)
     index = np.array(pairs, dtype=np.int32).reshape(-1, 2)
-    first_idx, second_idx = np.repeat(index, spec.shots, axis=0).T
+    first_idx, second_idx = np.repeat(index, shots, axis=0).T
     dataset = PairLogDataset(
         observables, first_idx, values[0].ravel(), second_idx, values[1].ravel()
     )
-    return Sample(dataset=dataset, exact=ExactQuantumModel(observables, spec.angles_deg))
+    return Sample(dataset=dataset, exact=ExactQuantumModel(observables, angles_deg))

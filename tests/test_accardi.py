@@ -5,6 +5,7 @@ import pytest
 
 from contextuality import (
     ExactQuantumModel,
+    JointRecordDataset,
     ObservableSet,
     TripleParams,
     bistochastic_triple_problem,
@@ -51,6 +52,25 @@ def test_boundary_case_counts_as_classical():
     assert verdict.slack == pytest.approx(0.0, abs=1e-12)
     lp = decide_feasibility(bistochastic_triple_problem(0.9, 0.9, 0.8))
     assert lp.feasible
+
+
+def test_slack_past_the_rounding_margin_is_contextual():
+    # 1e-7 past the boundary is far outside EQUALITY_TOL (1e-9), which absorbs rounding only
+    verdict = params(0.75, 0.75, 0.5 - 1e-7)
+    assert verdict.slack == pytest.approx(-1e-7, rel=1e-6)
+    assert verdict.verdict == "contextual"
+
+
+def test_deviation_exactly_at_the_tolerance_is_applicable():
+    # C copies B, so P(A|B) and P(C|A) each have diagonal entries 3/4 and 1/2:
+    # a bistochastic deviation of exactly 0.25, with no rounding
+    rows = [(0, 0, 0)] * 3 + [(1, 0, 0), (1, 1, 1), (0, 1, 1)]
+    source = JointRecordDataset(ObservableSet.from_ids(["A", "B", "C"]), rows)
+    at_tol, _ = triple_params(source, ("A", "B", "C"), bistochastic_tol=0.25)
+    assert at_tol.deviations == (0.25, 0.0, 0.25)
+    assert at_tol.applicable
+    below_tol, _ = triple_params(source, ("A", "B", "C"), bistochastic_tol=0.2499)
+    assert not below_tol.applicable
 
 
 def test_not_applicable_still_reports_slack():

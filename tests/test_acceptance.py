@@ -24,7 +24,7 @@ from contextuality import (
 )
 from contextuality.cli import cli_main
 from contextuality.feasibility import JointFeasibilityProblem
-from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from contextuality.generators import gen_classical, gen_quantum
 from contextuality.personalization import evaluate_triples, sample_triples, summarize
 
 from oracles import pair_marginal
@@ -92,7 +92,7 @@ def test_c2_verdict_invariant_under_permutations():
 
 
 def test_c3_classical_soundness():
-    sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=100000, seed=3))
+    sample = gen_classical(num_observables=6, num_records=100000, seed=3)
     plan = SamplingPlan(mode="exhaustive")
 
     triples = sample_triples(sample.exact.observables, plan)
@@ -123,7 +123,7 @@ def test_c3_classical_soundness():
 
 def test_c4_quantum_completeness():
     start = time.time()
-    exact_sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=0))
+    exact_sample = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=0)
     plan = SamplingPlan(mode="exhaustive")
     triples = sample_triples(exact_sample.exact.observables, plan)
     reports = evaluate_triples(exact_sample.exact, triples, plan)
@@ -136,7 +136,7 @@ def test_c4_quantum_completeness():
     assert report.lp.max_violation > 1e-3
     assert estimate.pers_accardi == 1.0
 
-    empirical = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7))
+    empirical = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
     worst = 0.0
     for a, b in itertools.combinations(("a0", "a1", "a2"), 2):
         t = pair_transition(empirical.dataset, a, b)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import contextuality
-from contextuality import SolverFailure, cli
+from contextuality import SolverFailure, cli, wilson_interval
 from contextuality.cli import cli_main
 from contextuality.io import read_pairlog
 
@@ -312,6 +312,24 @@ class TestPers:
             for ids, why in SKIPPED
         ]
 
+    def test_sampled_rate_and_lp_interval_count_decided_triples_only(self, tmp_path):
+        # the partial log with enough shots that its one decided triple,
+        # (a0, a1, a2), is applicable and contextual; the other three skip
+        code, _, err = run(
+            ["gen", "quantum", "--angles", "0,60,120,180", "--n", "20000", "--seed", "3",
+             "--pairs", "0-1,0-2,1-2,2-3", "--out", str(tmp_path / "q")]
+        )
+        assert code == 0, err
+        code, out, err = run(["pers", "--input", str(tmp_path / "q" / "pairs"),
+                              "--input-format", "pairlog", "--mode", "exhaustive"])
+        assert code == 0, err
+        pers = json.loads(out)["report"]["pers"]
+        counts = ("sampled", "decided", "applicable", "accardi_violations", "lp_violations")
+        assert [pers[name] for name in counts] == [4, 1, 1, 1, 1]
+        assert pers["pers_accardi_sampled"] == pers["accardi_violations"] / pers["decided"]
+        expected = wilson_interval(pers["lp_violations"], pers["decided"])
+        assert pers["ci95_lp"] == pytest.approx(list(expected), rel=1e-11)
+
     def test_skipped_triples_in_csv(self, partial_dir, tmp_path):
         code, out, err = run(["pers", "--input", str(partial_dir / "pairs"), "--input-format",
                               "pairlog", "--mode", "exhaustive", "--format", "csv",
@@ -552,6 +570,22 @@ class TestGreechie:
         code, out, err = run(["greechie", str(path)])
         assert code == 0, err
         assert out == "states: exists\ntwo-valued states: 1\nconnected: yes\n"
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            # 66 atoms pass find_state's cap and fail the enumeration's
+            (66, "66 atoms exceed 64"),
+            # one atom in no context gives an invalid: line before find_state's cap
+            (10_001, "10001 atoms exceed 10000"),
+        ],
+    )
+    def test_an_atom_cap_prints_nothing_to_stdout(self, tmp_path, atoms, message):
+        path = tmp_path / "big.gh"
+        lines = [f"atom a{i}" for i in range(atoms)]
+        lines += [f"context a{i} a{i + 1}" for i in range(0, atoms - 1, 2)]
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["greechie", str(path)]) == (2, "", f"data error: {message}\n")
 
     def test_invalid_structure_reported(self, tmp_path):
         path = tmp_path / "h.gh"

@@ -23,7 +23,8 @@ from contextuality import (
 from contextuality import feasibility
 from contextuality.accardi import TripleParams
 from contextuality.cli import cli_main
-from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from contextuality.datasets import bistochastic_pair_table
+from contextuality.generators import gen_classical, gen_quantum
 from contextuality.io import read_marginals
 
 from oracles import oracle_decide, pair_constraint_rows, pair_marginal
@@ -46,7 +47,7 @@ class TestBuildProblem:
         assert problem.pair_marginals[(0, 1)].tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
     def test_trine_targets(self):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=0))
+        sample = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=0)
         from contextuality.accardi import triple_params
 
         _, matrices = triple_params(sample.exact, ("a0", "a1", "a2"))
@@ -90,6 +91,20 @@ class TestDecideFeasibility:
         assert not result.feasible
         assert result.witness is None
         assert result.max_violation == pytest.approx(1.0 / 24.0, abs=1e-9)
+
+    def test_residual_equal_to_the_tolerance_is_feasible(self):
+        # infeasible means a residual above the tolerance, not at it: the
+        # trine on its own (dual-table path) and with a fourth observable (HiGHS)
+        trine = {key: bistochastic_pair_table(0.25) for key in ((0, 1), (0, 2), (1, 2))}
+        for problem in (JointFeasibilityProblem(3, 2, trine),
+                        JointFeasibilityProblem(4, 2, {**trine, (2, 3): np.eye(2) / 2})):
+            residual = decide_feasibility(problem).max_violation
+            assert residual == pytest.approx(1.0 / 24.0, abs=1e-9)
+            at_residual = JointFeasibilityProblem(
+                problem.num_observables, 2, problem.pair_marginals, tolerance=residual
+            )
+            result = decide_feasibility(at_residual)
+            assert (result.feasible, result.max_violation) == (True, residual)
 
     def test_two_observables_single_pair_always_feasible(self):
         rng = np.random.default_rng(2)
@@ -378,16 +393,14 @@ class TestProperties:
 
 class TestFromDataset:
     def test_classical_triples_are_feasible(self):
-        sample = gen_classical(ClassicalModelSpec(num_observables=4, num_records=0, seed=5))
+        sample = gen_classical(num_observables=4, num_records=0, seed=5)
         for ids in itertools.combinations(sample.exact.observables.ids(), 3):
             params, lp = feasibility_from_dataset(sample.exact, ids)
             assert lp.feasible
             assert params.verdict in ("classical", "not_applicable")
 
     def test_trine_dataset_contextual_and_infeasible(self):
-        sample = gen_quantum(
-            QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
-        )
+        sample = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
         params, lp = feasibility_from_dataset(sample.dataset, ("a0", "a1", "a2"))
         assert params.verdict == "contextual"
         assert not lp.feasible

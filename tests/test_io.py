@@ -18,7 +18,7 @@ from contextuality import (
     SamplingPlan,
     decide_feasibility,
 )
-from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from contextuality.generators import gen_classical, gen_quantum
 from contextuality.io import (
     read_hypergraph,
     read_joint,
@@ -112,7 +112,7 @@ class TestJointFormat:
             read(path)
 
     def test_round_trip_on_generator_output(self, tmp_path):
-        sample = gen_classical(ClassicalModelSpec(num_observables=4, num_records=500, seed=3))
+        sample = gen_classical(num_observables=4, num_records=500, seed=3)
         path = tmp_path / "records"
         write_joint(sample.dataset, path)
         loaded = read_joint(path)
@@ -137,7 +137,7 @@ class TestPairlogFormat:
             read_pairlog(path)
 
     def test_round_trip_on_generator_output(self, tmp_path):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=200, seed=7))
+        sample = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=200, seed=7)
         path = tmp_path / "pairs"
         write_pairlog(sample.dataset, path)
         loaded = read_pairlog(path)
@@ -610,11 +610,11 @@ class TestMarginalsFormat:
 class TestReportSerialization:
     @pytest.fixture()
     def report(self):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=2000, seed=7))
+        sample = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=2000, seed=7)
         return analyze(sample.dataset, SamplingPlan(mode="exhaustive"))
 
     def test_json_body_is_deterministic(self, report):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=2000, seed=7))
+        sample = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=2000, seed=7)
         again = analyze(sample.dataset, SamplingPlan(mode="exhaustive"))
         assert write_report(report) == write_report(again)
 
@@ -656,7 +656,7 @@ class TestReportSerialization:
             write_report(report, format="xml")
 
     def test_empty_report(self):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 90.0), shots=10, seed=1))
+        sample = gen_quantum(angles_deg=(0.0, 90.0), shots=10, seed=1)
         from contextuality.personalization import summarize
         from contextuality.reports import AnalysisReport
 

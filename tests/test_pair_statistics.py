@@ -23,7 +23,7 @@ from contextuality import (
     same_outcome_probability,
 )
 from contextuality import transitions
-from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from contextuality.generators import gen_classical, gen_quantum
 from contextuality.personalization import evaluate_triples, sample_triples
 
 
@@ -114,14 +114,14 @@ class TestArrayMatchesPerPairScan:
 
     def test_exact_quantum_model(self):
         angles = (0.0, 35.0, 120.0, 300.0)
-        exact = gen_quantum(QubitModelSpec(angles_deg=angles, shots=0)).exact
+        exact = gen_quantum(angles_deg=angles, shots=0).exact
         table = exact.pair_statistics.table
         for ia, ib in itertools.permutations(range(len(angles)), 2):
             p = same_outcome_probability(angles[ia], angles[ib])
             assert table[ia, ib].tolist() == [[p / 2, (1 - p) / 2], [(1 - p) / 2, p / 2]]
 
     def test_exact_sources_hold_probabilities_not_counts(self):
-        exact = gen_classical(ClassicalModelSpec(num_observables=3, num_records=0)).exact
+        exact = gen_classical(num_observables=3, num_records=0).exact
         assert exact.pair_statistics.exact
         assert exact.pair_statistics.table.dtype == np.float64
 
@@ -202,11 +202,17 @@ class TestFieldChecks:
             (lambda: ExactJointTable(OBS_AB, [0.5, 0.5]), r"need 2\*\*2 probabilities, got 2"),
             (lambda: ExactJointTable(OBS_AB, [0.5, 0.75, -0.25, 0.0]), "must be non-negative"),
             (lambda: ExactJointTable(OBS_AB, [0.25, 0.25, 0.25, 0.0]), "must sum to 1"),
+            # no slack below zero: numpy's sampler would refuse the entry later
+            (lambda: ExactJointTable(OBS_AB, [-1e-13, 1.0, 0.0, 0.0]),
+             "probabilities must be non-negative"),
+            (lambda: ExactJointTable(OBS_AB, [np.nan, 1.0, 0.0, 0.0]),
+             "distribution entries must be finite"),
             (lambda: ExactQuantumModel(OBS_AB, (0.0, 90.0, 180.0)), "one angle per observable"),
             (lambda: ObservableSet.from_ids([]), "needs at least one observable"),
         ],
         ids=["records-width", "records-1d", "records-value", "pairlog-2d", "pairlog-length",
-             "exact-size", "exact-negative", "exact-sum", "quantum-angles", "observables-empty"],
+             "exact-size", "exact-negative", "exact-sum", "exact-tiny-negative", "exact-nan",
+             "quantum-angles", "observables-empty"],
     )
     def test_sources_reject_malformed_arrays(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -247,8 +253,8 @@ class TestPipelineReadsEachPairOnce:
     def test_pers_builds_once_and_estimates_each_ordered_pair_once(self, monkeypatch):
         builds = self.spy_table_builds(monkeypatch, PairLogDataset)
         estimated = self.spy_estimates(monkeypatch)
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 30.0, 75.0, 140.0, 200.0, 290.0),
-                                            shots=300, seed=4))
+        sample = gen_quantum(angles_deg=(0.0, 30.0, 75.0, 140.0, 200.0, 290.0),
+                             shots=300, seed=4)
         plan = SamplingPlan(mode="exhaustive")
         report = analyze(sample.dataset, plan)
         needed = {pair for a, b, c in sample_triples(sample.dataset.observables, plan)
@@ -259,8 +265,8 @@ class TestPipelineReadsEachPairOnce:
 
     def test_a_second_bistochastic_tolerance_estimates_nothing_again(self, monkeypatch):
         estimated = self.spy_estimates(monkeypatch)
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 30.0, 75.0, 140.0, 200.0),
-                                            shots=300, seed=4))
+        sample = gen_quantum(angles_deg=(0.0, 30.0, 75.0, 140.0, 200.0),
+                             shots=300, seed=4)
         observables = sample.dataset.observables
         for tol in (0.01, 0.2):
             analyze(sample.dataset, SamplingPlan(mode="exhaustive", bistochastic_tol=tol)).pers
@@ -271,7 +277,7 @@ class TestPipelineReadsEachPairOnce:
     def test_joint_records_with_replacement(self, monkeypatch):
         builds = self.spy_table_builds(monkeypatch, JointRecordDataset)
         estimated = self.spy_estimates(monkeypatch)
-        sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=2000, seed=1))
+        sample = gen_classical(num_observables=6, num_records=2000, seed=1)
         plan = SamplingPlan(num_triples=60, mode="with_replacement", seed=2)
         analyze(sample.dataset, plan)
         assert builds == [sample.dataset]

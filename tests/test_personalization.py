@@ -17,7 +17,7 @@ from contextuality import (
     sample_triples,
     wilson_interval,
 )
-from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from contextuality.generators import gen_classical, gen_quantum
 from contextuality.personalization import evaluate_triples, summarize
 
 
@@ -131,7 +131,7 @@ class TestEstimatePers:
         assert estimate.pers_lp == 0.0
 
     def test_classical_exact_mode_is_zero_for_any_plan(self):
-        sample = gen_classical(ClassicalModelSpec(num_observables=5, num_records=0, seed=2))
+        sample = gen_classical(num_observables=5, num_records=0, seed=2)
         plans = [
             SamplingPlan(mode="exhaustive"),
             SamplingPlan(num_triples=5, seed=0),
@@ -143,9 +143,7 @@ class TestEstimatePers:
             assert estimate.violations == (0, 0)
 
     def test_trine_pairlog_gives_pers_accardi_one(self):
-        sample = gen_quantum(
-            QubitModelSpec(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
-        )
+        sample = gen_quantum(angles_deg=(0.0, 120.0, 240.0), shots=100000, seed=7)
         estimate = analyze(sample.dataset, SamplingPlan(mode="exhaustive")).pers
         assert estimate.sampled == 1
         assert estimate.applicable == 1
@@ -154,9 +152,7 @@ class TestEstimatePers:
 
     def test_missing_pairs_are_skipped_and_reported(self):
         sample = gen_quantum(
-            QubitModelSpec(
-                angles_deg=(0.0, 90.0, 180.0), shots=100, seed=1, pairs=((0, 1), (1, 2))
-            )
+            angles_deg=(0.0, 90.0, 180.0), shots=100, seed=1, pairs=((0, 1), (1, 2))
         )
         estimate = analyze(sample.dataset, SamplingPlan(mode="exhaustive")).pers
         assert estimate.sampled == 1
@@ -164,13 +160,13 @@ class TestEstimatePers:
         assert estimate.decided == 0
 
     def test_bitwise_determinism_across_runs(self):
-        sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=5000, seed=3))
+        sample = gen_classical(num_observables=6, num_records=5000, seed=3)
         plan = SamplingPlan(num_triples=15, seed=5)
         results = [analyze(sample.dataset, plan).pers for _ in range(3)]
         assert results[0] == results[1] == results[2]
 
     def test_with_replacement_matches_exhaustive_within_three_halfwidths(self):
-        sample = gen_classical(ClassicalModelSpec(num_observables=6, num_records=0, seed=3))
+        sample = gen_classical(num_observables=6, num_records=0, seed=3)
         exhaustive = analyze(sample.exact, SamplingPlan(mode="exhaustive")).pers
         drawn = analyze(
             sample.exact, SamplingPlan(num_triples=10000, mode="with_replacement", seed=9),
@@ -182,7 +178,7 @@ class TestEstimatePers:
             assert abs(point - getattr(exhaustive, attr)) <= 3 * half + 1e-12
 
     def test_summary_tallies_are_consistent(self):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 60.0, 120.0, 240.0), shots=2000, seed=3))
+        sample = gen_quantum(angles_deg=(0.0, 60.0, 120.0, 240.0), shots=2000, seed=3)
         plan = SamplingPlan(mode="exhaustive")
         triples = sample_triples(sample.dataset.observables, plan)
         reports = evaluate_triples(sample.dataset, triples, plan)

@@ -22,7 +22,7 @@ from contextuality import (
     triple_params,
 )
 from contextuality.datasets import PairStatistics
-from contextuality.generators import ClassicalModelSpec, QubitModelSpec, gen_classical, gen_quantum
+from contextuality.generators import gen_classical, gen_quantum
 
 
 def joint(records, names=("A", "B")):
@@ -74,7 +74,7 @@ class TestPairTables:
         assert d.pair_statistics.table[0, 1].tolist() == [[50 - n1, 0], [0, n1]]
 
     def test_pairlog_totals_match_generator_shots(self):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0), shots=500, seed=7))
+        sample = gen_quantum(angles_deg=(0.0, 120.0), shots=500, seed=7)
         assert sample.dataset.pair_statistics.table[0, 1].sum() == 500
 
     def test_pairlog_transposes_reversed_entries(self):
@@ -115,7 +115,7 @@ class TestPairTransition:
         assert t.priors.tolist() == [0.7, 0.3]
 
     def test_trine_pair_close_to_born_value(self):
-        sample = gen_quantum(QubitModelSpec(angles_deg=(0.0, 120.0), shots=100000, seed=7))
+        sample = gen_quantum(angles_deg=(0.0, 120.0), shots=100000, seed=7)
         t = pair_transition(sample.dataset, "a0", "a1")
         analytic = same_outcome_probability(0.0, 120.0)
         assert analytic == pytest.approx(0.25, abs=1e-12)
@@ -153,8 +153,8 @@ class TestPairTransition:
     @pytest.mark.parametrize("source", ["pairlog", "joint", "exact_joint", "exact_quantum"])
     def test_nonsense_smoothing_rejected_on_every_source(self, source, smoothing):
         # exact models ignore a valid smoothing, but check it like any source
-        quantum = gen_quantum(QubitModelSpec(angles_deg=(0.0, 60.0, 120.0), shots=50, seed=1))
-        classical = gen_classical(ClassicalModelSpec(num_observables=3, num_records=200, seed=1))
+        quantum = gen_quantum(angles_deg=(0.0, 60.0, 120.0), shots=50, seed=1)
+        classical = gen_classical(num_observables=3, num_records=200, seed=1)
         d = {
             "pairlog": quantum.dataset, "joint": classical.dataset,
             "exact_joint": classical.exact, "exact_quantum": quantum.exact,

@@ -24,7 +24,7 @@ from contextuality import (
     decide_feasibility,
 )
 from contextuality import feasibility, triple_duals
-from contextuality.generators import QubitModelSpec, gen_quantum
+from contextuality.generators import gen_quantum
 
 from oracles import (
     TRIPLE_KEYS, check_triple_certificate, pair_constraint_rows, pair_marginal, triple_rows,
@@ -254,7 +254,7 @@ class TestCertificates:
     @pytest.fixture(scope="class")
     def pairlog(self):
         angles = tuple(float(a) for a in range(0, 180, 20))  # T = 9, 84 triples
-        return gen_quantum(QubitModelSpec(angles_deg=angles, shots=400, seed=5)).dataset
+        return gen_quantum(angles_deg=angles, shots=400, seed=5).dataset
 
     def test_exhaustive_pers_certificates(self, pairlog, monkeypatch):
         decided = []
