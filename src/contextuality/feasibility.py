@@ -26,10 +26,11 @@ the vertices are those of {||lambda||_1 <= 1, M^T lambda + w <= 0}.  The
 932 vertices are enumerated exactly by ``tools/gen_triple_duals.py`` and
 stored in ``triple_duals`` as one representative per relabeling orbit.
 An infeasible verdict carries the maximizing vertex as its certificate; a
-feasible one gets a closed-form witness from one more fixed-matrix product.
-Every other problem, and a closed-form witness that fails its re-check,
-goes to HiGHS.  A witness passes its re-check when its row, mass and
-sign errors all stay within 2 x tolerance.
+feasible one gets a closed-form witness from one more fixed-matrix product,
+re-checked on its 8 entries as Python floats.  Every other problem, and a
+closed-form witness that fails its re-check, goes to HiGHS.  A witness
+passes its re-check when its row, mass and sign errors all stay within
+2 x tolerance.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ def _closed_form_rows() -> tuple[np.ndarray, np.ndarray]:
 
 
 # A binary triple's outcome table, the rows of its incidence matrix M.
-# Outcome k of its witness is _WITNESS_FORMS[k] . b + _WITNESS_OFFSETS[k] + _P012_SIGNS[k] * p012.
+# Outcome k of its witness is _WITNESS_FORMS[k] . b + _WITNESS_OFFSETS[k] -/+ p012.
 _TRIPLE_OUTCOMES = frozen_array(_pair_outcomes(3, 2, _TRIPLE_KEYS), np.int64)
+_TRIPLE_ROWS = tuple(map(tuple, _TRIPLE_OUTCOMES.tolist()))  # the same, as Python ints
 _WITNESS_FORMS, _WITNESS_OFFSETS = (frozen_array(part, np.float64) for part in _closed_form_rows())
-_P012_SIGNS = frozen_array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0], np.float64)
 
 
 def _expand_orbits(orbits) -> np.ndarray:
@@ -163,6 +164,8 @@ def _expand_orbits(orbits) -> np.ndarray:
 # integers over triple_duals.SCALE.
 TRIPLE_DUAL_VERTICES = frozen_array(_expand_orbits(triple_duals.ORBITS), np.int64)
 _TRIPLE_DUALS = frozen_array(TRIPLE_DUAL_VERTICES / triple_duals.SCALE, np.float64)
+_DUAL_FORMS = frozen_array(_TRIPLE_DUALS[:, :12], np.float64)  # contiguous: lambda
+_DUAL_OFFSETS = frozen_array(_TRIPLE_DUALS[:, 12], np.float64)  # contiguous: w
 
 
 def linprog(*args, **kwargs):
@@ -232,19 +235,21 @@ def decide_feasibility(problem: JointFeasibilityProblem) -> FeasibilityResult:
         witness = np.full(size, 1.0 / size)
         return FeasibilityResult(feasible=True, witness=witness, max_violation=0.0)
 
-    keys = sorted(problem.pair_marginals)
-    targets = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
-    if n == 2 and t == 3 and len(keys) == 3:  # keys == _TRIPLE_KEYS
-        scores = _TRIPLE_DUALS[:, :12] @ targets + _TRIPLE_DUALS[:, 12]
+    triple = n == 2 and t == 3 and len(problem.pair_marginals) == 3  # every pair of three
+    keys = _TRIPLE_KEYS if triple else sorted(problem.pair_marginals)
+    targets = np.concatenate([problem.pair_marginals[key].ravel() for key in keys])
+    if triple:
+        scores = _DUAL_FORMS.dot(targets)  # the BLAS product of @, with less dispatch
+        scores += _DUAL_OFFSETS
         best = int(scores.argmax())
-        violation = max(float(scores[best]), 0.0)
+        violation = max(scores.item(best), 0.0)
         if violation > problem.tolerance:
             return FeasibilityResult(
                 feasible=False, witness=None, max_violation=violation,
                 certificate=_TRIPLE_DUALS[best],
             )
         witness = _triple_witness(targets)
-        if _witness_gap(witness, _TRIPLE_OUTCOMES, targets) <= 2 * problem.tolerance:
+        if _triple_witness_fits(witness.tolist(), targets.tolist(), 2 * problem.tolerance):
             return FeasibilityResult(feasible=True, witness=witness, max_violation=violation)
         # a near-boundary witness that misses: fall through to the solver
 
@@ -277,10 +282,18 @@ def _triple_witness(targets: np.ndarray) -> np.ndarray:
     tables carrying A_i, and p012 sits mid-way in the interval that keeps
     all eight entries non-negative: exact when the targets are marginals
     of some joint."""
-    base = _WITNESS_FORMS @ targets + _WITNESS_OFFSETS
-    v = base.tolist()  # p012 <= v[k] where it subtracts, >= -v[k] where it adds
-    p012 = (min(v[0], v[3], v[5], v[6]) - min(v[1], v[2], v[4], v[7])) / 2
-    return base + _P012_SIGNS * p012
+    v0, v1, v2, v3, v4, v5, v6, v7 = (_WITNESS_FORMS.dot(targets) + _WITNESS_OFFSETS).tolist()
+    # p is p012: p012 <= v[k] where it subtracts, >= -v[k] where it adds
+    p = (min(v0, v3, v5, v6) - min(v1, v2, v4, v7)) / 2
+    return np.array([v0 - p, v1 + p, v2 + p, v3 - p, v4 + p, v5 - p, v6 - p, v7 + p])
+
+
+def _triple_witness_fits(w: list, b: list, limit: float) -> bool:
+    """``_witness_gap(witness, _TRIPLE_OUTCOMES, b) <= limit`` on Python
+    floats: 8 entries, 12 targets, the mass summed in numpy's pairwise order."""
+    mass = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+    rows = all(abs(w[i] + w[j] - target) <= limit for (i, j), target in zip(_TRIPLE_ROWS, b))
+    return rows and abs(mass - 1.0) <= limit and -min(w) <= limit
 
 
 def build_problem(

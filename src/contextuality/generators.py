@@ -10,7 +10,9 @@ admit no joint distribution at all.
 Both generators are pure functions of their arguments: the same seed
 yields byte-identical datasets, and per-pair streams are seeded
 independently so pair logs could be produced in parallel without
-changing the output.
+changing the output.  Each refuses, before it allocates, a dataset of
+more than ``MAX_GENERATED_VALUES`` values: records x T, or logged pairs
+x shots.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .datasets import (
 from .observables import ObservableSet
 
 MAX_CLASSICAL_OBSERVABLES = 16
+MAX_GENERATED_VALUES = 10**8  # records x T, or logged pairs x shots
 
 
 def _rng(*entropy) -> np.random.Generator:
@@ -61,6 +64,8 @@ def gen_classical(
         raise ValueError("num_records must be non-negative")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if num_records * t > MAX_GENERATED_VALUES:
+        raise ValueError(f"num_records x num_observables must be at most {MAX_GENERATED_VALUES}")
     size = 2**t
     if distribution is None:
         distribution = _rng(seed, 0).dirichlet(np.ones(size))
@@ -111,6 +116,8 @@ def gen_quantum(angles_deg, shots: int, seed: int = 0, pairs=None) -> Sample:
     if seed < 0:
         raise ValueError("seed must be non-negative")
     pairs = logged_pairs(len(angles_deg), pairs)
+    if len(pairs) * shots > MAX_GENERATED_VALUES:
+        raise ValueError(f"logged pairs x shots must be at most {MAX_GENERATED_VALUES}")
     observables = ObservableSet.from_ids(
         (f"a{i}" for i in range(len(angles_deg))),
         source=f"quantum(seed={seed}, angles={list(angles_deg)})",

@@ -147,3 +147,46 @@ def check_triple_certificate(problem, result, atol=1e-12):
     assert np.abs(lam).sum() <= 1.0 + atol
     assert (m.T @ lam + w).max() <= atol
     assert abs(lam @ b + w - result.max_violation) <= atol
+
+
+# The binary-triple branch of ``decide_feasibility`` as it read before the
+# witness re-check moved to Python floats: the strided dual product, the
+# closed-form witness on numpy arrays and the numpy re-check.  Kept
+# verbatim as the bit-level reference for the package's branch; it reads
+# the package's constant tables, which are data, not code.
+_P012_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+
+
+def reference_witness_gap(witness, outcomes, rhs):
+    gap = float(np.abs(witness[outcomes].sum(axis=1) - rhs).max())
+    return max(gap, abs(float(witness.sum()) - 1.0), -float(witness.min()))
+
+
+def reference_triple_witness(targets):
+    from contextuality import feasibility
+
+    base = feasibility._WITNESS_FORMS @ targets + feasibility._WITNESS_OFFSETS
+    v = base.tolist()  # p012 <= v[k] where it subtracts, >= -v[k] where it adds
+    p012 = (min(v[0], v[3], v[5], v[6]) - min(v[1], v[2], v[4], v[7])) / 2
+    return base + _P012_SIGNS * p012
+
+
+def reference_triple_branch(problem):
+    """(feasible, witness, max_violation, certificate) of a binary triple,
+    or None where the closed-form witness fails its re-check and the
+    package goes on to HiGHS."""
+    from contextuality import feasibility
+
+    duals = feasibility._TRIPLE_DUALS
+    keys = sorted(problem.pair_marginals)
+    targets = np.concatenate([problem.pair_marginals[key].reshape(-1) for key in keys])
+    scores = duals[:, :12] @ targets + duals[:, 12]
+    best = int(scores.argmax())
+    violation = max(float(scores[best]), 0.0)
+    if violation > problem.tolerance:
+        return False, None, violation, duals[best]
+    witness = reference_triple_witness(targets)
+    gap = reference_witness_gap(witness, feasibility._TRIPLE_OUTCOMES, targets)
+    if gap <= 2 * problem.tolerance:
+        return True, witness, violation, None
+    return None

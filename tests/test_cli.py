@@ -179,6 +179,26 @@ class TestGen:
             code, _, err = run(["gen", *argv, "--out", str(tmp_path / "c")])
             assert (code, err.startswith("usage error:")) == (1, True), argv
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classical", "--t", "2", "--n", "100000000000000000000"],
+             "num_records x num_observables must be at most 100000000"),
+            (["classical", "--t", "1", "--n", "100000001"],
+             "num_records x num_observables must be at most 100000000"),
+            (["quantum", "--angles", "0,90", "--n", "10000000000000000"],
+             "logged pairs x shots must be at most 100000000"),
+            (["quantum", "--angles", "0,90", "--n", "100000001"],
+             "logged pairs x shots must be at most 100000000"),
+        ],
+        ids=["classical-beyond-int64", "classical-cap+1", "quantum-71-PiB", "quantum-cap+1"],
+    )
+    def test_oversized_output_is_usage_error(self, tmp_path, argv, message):
+        # refused before numpy allocates, so no traceback and no directory
+        code, out, err = run(["gen", *argv, "--out", str(tmp_path / "g")])
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert not (tmp_path / "g").exists()
+
 
 class TestPers:
     def test_trine_end_to_end(self, trine_dir):

@@ -14,7 +14,7 @@ from contextuality import (
     same_outcome_probability,
 )
 from contextuality.accardi import triple_params
-from contextuality.generators import logged_pairs
+from contextuality.generators import MAX_GENERATED_VALUES, logged_pairs
 
 
 class TestClassicalGenerator:
@@ -79,6 +79,13 @@ class TestClassicalGenerator:
         # NaN passes the sign and sum checks, and would only fail in the sampler
         with pytest.raises(ValueError, match="distribution entries must be finite"):
             gen_classical(num_observables=1, num_records=1, distribution=[np.nan, 1.0])
+
+    @pytest.mark.parametrize(
+        "t, n", [(2, 10**20), (1, MAX_GENERATED_VALUES + 1)], ids=["beyond-int64", "cap+1"]
+    )
+    def test_oversized_dataset_is_refused_before_it_allocates(self, t, n):
+        with pytest.raises(ValueError, match="num_records x num_observables must be at most"):
+            gen_classical(t, n)
 
 
 class TestQuantumGenerator:
@@ -149,9 +156,15 @@ class TestQuantumGenerator:
         with pytest.raises(ValueError, match=message):
             gen_quantum(**kwargs)
 
+    @pytest.mark.parametrize("shots", [10**16, MAX_GENERATED_VALUES + 1], ids=["71-PiB", "cap+1"])
+    def test_oversized_pair_log_is_refused_before_it_allocates(self, shots):
+        with pytest.raises(ValueError, match="logged pairs x shots must be at most"):
+            gen_quantum((0.0, 90.0), shots)
+
     def test_logged_pairs_default_to_every_pair_and_keep_the_given_order(self):
         assert logged_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         assert logged_pairs(4, [(3, 0), (1, 2)]) == ((3, 0), (1, 2))
         sample = gen_quantum(angles_deg=(0.0, 90.0, 180.0, 270.0), shots=2, pairs=[(3, 0)])
         assert (sample.dataset.first_index.tolist(), sample.dataset.second_index.tolist()) == (
             [3, 3], [0, 0])
+

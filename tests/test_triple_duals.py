@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextuality import (
@@ -27,8 +27,8 @@ from contextuality import feasibility, triple_duals
 from contextuality.generators import gen_quantum
 
 from oracles import (
-    TRIPLE_KEYS, check_triple_certificate, pair_constraint_rows, pair_marginal, triple_rows,
-    witness_gap,
+    TRIPLE_KEYS, check_triple_certificate, pair_constraint_rows, pair_marginal,
+    reference_triple_branch, triple_rows, witness_gap,
 )
 
 TOL = 1e-8
@@ -362,3 +362,125 @@ def test_closed_form_witness_is_exact_for_joint_marginals():
             assert np.abs(pair_marginal(witness, 3, 2, key) - table).max() <= 1e-15
         assert witness.min() >= 0.0
         assert witness.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+FALL_THROUGH_SEED = 107  # a "near face" seed whose closed-form witness misses its re-check
+
+
+def near_boundary_tables(rng, kind: str) -> dict:
+    """Tables within a few tolerances of the polytope's boundary, on either
+    side.  ``near facet``: symmetric tables with r near a facet of the
+    Accardi system, |p + q - 1| or 1 - |p - q|.  ``near face``: the
+    marginals of a joint on a face, each entry moved by about TOL, where
+    the closed-form witness can miss its re-check."""
+    if kind == "near face":
+        return {
+            key: np.clip(table + TOL * rng.standard_normal((2, 2)), 0.0, None)
+            for key, table in random_tables(rng, "sparse").items()
+        }
+    p, q = rng.random(2)
+    facet = abs(p + q - 1.0) if rng.random() < 0.5 else 1.0 - abs(p - q)
+    r = float(np.clip(facet + rng.uniform(-30.0, 30.0) * TOL, 0.0, 1.0))
+    return bistochastic_triple_problem(p, q, r).pair_marginals
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS + ("near facet", "near face")),
+    seed=st.integers(0, 2**32 - 1),
+    jitter=st.sampled_from([0.0, 1e-10]),
+    order=st.permutations(TRIPLE_KEYS),
+)
+@example(kind="near face", seed=FALL_THROUGH_SEED, jitter=0.0, order=TRIPLE_KEYS)
+def test_triple_branch_matches_its_reference_bit_for_bit(kind, seed, jitter, order):
+    """Every field equals that of the numpy branch kept in ``oracles``,
+    whichever order the three tables were inserted in."""
+    rng = np.random.default_rng(seed)
+    if kind in ("near facet", "near face"):
+        tables = near_boundary_tables(rng, kind)
+    else:
+        tables = random_tables(rng, kind)
+    tables = {
+        key: np.clip(table + jitter * rng.standard_normal((2, 2)), 0.0, None)
+        for key, table in tables.items()
+    }
+    problem = JointFeasibilityProblem(
+        3, 2, {key: tables[key] / tables[key].sum() for key in order}, tolerance=TOL
+    )
+    reference = reference_triple_branch(problem)
+    calls = []
+    original = feasibility.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "linprog", spy)
+        result = decide_feasibility(problem)
+    if reference is None:  # both re-checks refuse the closed-form witness
+        assert len(calls) == 1
+        return
+    feasible, witness, violation, certificate = reference
+    assert calls == []
+    assert result.feasible == feasible
+    assert result.max_violation.hex() == violation.hex()
+    if feasible:
+        assert result.certificate is None
+        assert np.array_equal(result.witness, witness)
+        assert result.witness.dtype == witness.dtype
+        assert result.witness.tobytes() == witness.tobytes()  # signed zeros too
+    else:
+        assert result.witness is None
+        assert np.array_equal(result.certificate, certificate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    defect=st.sampled_from(["uniform", "negative entry", "mass", "noise"]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from([1e-6, 2 * TOL]) | st.floats(0.0, 4 * TOL),
+)
+def test_float_recheck_agrees_with_the_witness_gap(defect, seed, size):
+    """The re-check on Python floats passes exactly the witnesses that
+    ``_witness_gap`` passes, also within rounding of the 2 x tolerance
+    limit."""
+    rng = np.random.default_rng(seed)
+    joint = rng.dirichlet(np.ones(8))
+    if defect == "uniform":  # targets near the uniform joint
+        joint = np.abs(0.125 + size * rng.standard_normal(8))
+        joint /= joint.sum()
+        witness = np.full(8, 0.125)
+    elif defect == "negative entry":  # every pair marginal and the mass stay exact
+        witness = joint - (joint[PARITY > 0].min() + size) * PARITY
+    elif defect == "mass":
+        witness = joint.copy()
+        witness[rng.integers(8)] += size
+    else:
+        witness = joint + size * rng.standard_normal(8)
+    targets = np.concatenate([pair_marginal(joint, 3, 2, key).ravel() for key in TRIPLE_KEYS])
+    limit = 2 * TOL
+    gap = feasibility._witness_gap(witness, feasibility._TRIPLE_OUTCOMES, targets)
+    fits = feasibility._triple_witness_fits(witness.tolist(), targets.tolist(), limit)
+    assert fits == (gap <= limit)
+
+
+@pytest.mark.parametrize("defect", ["row", "mass", "negative entry"])
+def test_float_recheck_holds_an_error_equal_to_the_limit(defect):
+    """Dyadic entries make each error exactly the limit: it passes there,
+    as ``_witness_gap``'s ``<=`` does, and fails one float below it."""
+    limit = 2.0**-26
+    witness, targets = np.full(8, 0.125), np.full(12, 0.25)
+    if defect == "row":
+        targets[5] -= limit
+    elif defect == "mass":
+        witness[3] += limit
+        targets[[1, 5, 11]] += limit  # the rows through outcome 3 stay exact
+    else:  # every pair marginal and the mass stay exact
+        witness = np.array([0.5, 0, 0, 0, 0, 0, 0, 0.5]) - limit * PARITY
+        targets = np.concatenate([pair_marginal(witness, 3, 2, key).ravel() for key in TRIPLE_KEYS])
+        assert witness.min() == -limit
+    gap = feasibility._witness_gap(witness, feasibility._TRIPLE_OUTCOMES, targets)
+    assert gap == limit
+    for bound, expected in ((limit, True), (float(np.nextafter(limit, 0.0)), False)):
+        assert feasibility._triple_witness_fits(witness.tolist(), targets.tolist(), bound) is expected
